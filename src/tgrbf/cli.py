@@ -52,8 +52,11 @@ def cmd_identify(args) -> int:
     with open(os.path.join(args.out, "fit_report.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "value"])
-        for name in ("mse", "rmse", "mae", "r2"):
+        for name in ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2"):
             w.writerow([name, f"{getattr(report, name):.17g}"])
+        # every value parses with float(): nan when training did not halt
+        halted = report.halted_epoch
+        w.writerow(["halted_epoch", "nan" if halted is None else halted])
         for i, loss in enumerate(report.loss_curve):
             w.writerow([f"epoch_{i}_loss", f"{loss:.17g}"])
     print(f"checkpoint written to {ckpt}")

@@ -34,6 +34,15 @@ def _clamp_mask(pre: np.ndarray) -> np.ndarray:
     return ((pre > 0.0) & (pre < 1.0)).astype(float)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
+
+
+def _item(a):
+    """A Python float for one sample, the array itself for a batch."""
+    return float(a) if a.ndim == 0 else a
+
+
 def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
 
@@ -51,16 +60,19 @@ def rbf_kernel(x: np.ndarray, center: np.ndarray, width: float) -> float:
 
 
 def rbf_forward(x, centers, widths, weights):
-    """Evaluate the RBF branch.  Returns (y_rbf, phi)."""
+    """Evaluate the RBF branch.  Returns (y_rbf, phi).
+
+    x is one input (n_in,) or a batch (s, n_in); y_rbf is then a float or
+    an (s,) array and phi has shape (m,) or (s, m)."""
     x = np.asarray(x, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != x.shape[0]:
+    if centers.ndim != 2 or centers.shape[1] != x.shape[-1]:
         raise ValueError(f"centers shape {centers.shape} incompatible with input {x.shape}")
     if np.any(np.asarray(widths) <= 0.0):
         raise ValueError("all kernel widths must be positive")
-    d2 = np.sum((centers - x) ** 2, axis=1)
+    d2 = np.sum((centers - x[..., None, :]) ** 2, axis=-1)
     phi = np.exp(-d2 / (2.0 * np.asarray(widths, dtype=float) ** 2))
-    return float(np.dot(weights, phi)), phi
+    return _item(phi @ weights), phi
 
 
 def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
@@ -68,44 +80,49 @@ def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
 
     pre_z/pre_r are the affine pre-activations; z and r are their hard
     clamps to [0, 1].  The candidate state n is affine in [x; r*h_prev].
+    x and h_prev may carry a common leading batch axis.
     """
-    zeta = np.concatenate([x, h_prev])
-    pre_z = W_z @ zeta + b_z
-    pre_r = W_r @ zeta + b_r
+    zeta = np.concatenate([x, h_prev], axis=-1)
+    pre_z = zeta @ W_z.T + b_z
+    pre_r = zeta @ W_r.T + b_r
     z = np.clip(pre_z, 0.0, 1.0)
     r = np.clip(pre_r, 0.0, 1.0)
-    xi = np.concatenate([x, r * h_prev])
-    n = W_h @ xi + b_h
+    xi = np.concatenate([x, r * h_prev], axis=-1)
+    n = xi @ W_h.T + b_h
     h_next = (1.0 - z) * h_prev + z * n
-    y_gru = float(out_w @ h_next + out_b)
+    y_gru = _item(h_next @ out_w + out_b)
     inter = {"zeta": zeta, "pre_z": pre_z, "pre_r": pre_r, "z": z, "r": r,
              "xi": xi, "n": n}
     return h_next, y_gru, inter
 
 
 def gate_value(x, h_prev, gate_w, gate_b):
-    """Fusion gate g = sigmoid(gate_w . [x; h_prev] + gate_b), in (0, 1)."""
-    zeta = np.concatenate([x, h_prev])
-    return float(sigmoid(float(np.dot(gate_w, zeta)) + gate_b))
+    """Fusion gate g = sigmoid(gate_w . [x; h_prev] + gate_b), in (0, 1).
+    x and h_prev may carry a common leading batch axis."""
+    zeta = np.concatenate([x, h_prev], axis=-1)
+    return _item(sigmoid(zeta @ gate_w + gate_b))
 
 
 @dataclass
 class ForwardTrace:
-    """All intermediates of one forward pass, for Jacobian reuse."""
+    """All intermediates of one forward pass, for Jacobian reuse.
+
+    For a batch every field carries the leading batch axis, and the scalar
+    fields (y_rbf, y_gru, g, y) are (s,) arrays instead of floats."""
 
     x: np.ndarray
     h_prev: np.ndarray
     phi: np.ndarray
-    y_rbf: float
+    y_rbf: float | np.ndarray
     pre_z: np.ndarray
     pre_r: np.ndarray
     z: np.ndarray
     r: np.ndarray
     n: np.ndarray
     h_next: np.ndarray
-    y_gru: float
-    g: float
-    y: float
+    y_gru: float | np.ndarray
+    g: float | np.ndarray
+    y: float | np.ndarray
     zeta: np.ndarray
     xi: np.ndarray
 
@@ -192,22 +209,29 @@ class TgrbfNet:
         """Reset the hidden state for a new independent sequence."""
         self.h = self.h_init.copy()
 
-    def gate(self, x, h_prev=None) -> float:
-        if self.gate_frozen:
-            return 1.0
-        h_prev = self.h if h_prev is None else h_prev
-        return gate_value(np.asarray(x, dtype=float), h_prev,
-                          self.gate_w, self.gate_b)
-
-    def forward(self, x, h_prev=None) -> tuple[float, ForwardTrace]:
-        """Evaluate the network at input x with hidden state h_prev
-        (defaults to the stored state).  Pure: does not mutate self."""
+    def gate(self, x, h_prev=None) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_in,):
-            raise ValueError(f"input must have shape ({self.n_in},), got {x.shape}")
+        if self.gate_frozen:
+            return _item(np.ones(x.shape[:-1]))
+        h_prev = self.h if h_prev is None else h_prev
+        return gate_value(x, h_prev, self.gate_w, self.gate_b)
+
+    def forward(self, x, h_prev=None) -> tuple[float | np.ndarray, ForwardTrace]:
+        """Evaluate the network at input x with hidden state h_prev
+        (defaults to the stored state).  Pure: does not mutate self.
+
+        x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
+        is (s, p) or one (p,) state shared by every row, y is an (s,)
+        array and every trace field carries the batch axis."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
+            raise ValueError(f"input must have shape ({self.n_in},) or "
+                             f"(s, {self.n_in}), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
+        if x.ndim == 2:
+            h_prev = np.broadcast_to(h_prev, (x.shape[0], self.p))
 
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, y_gru, it = lgru_step(x, h_prev, self.W_z, self.b_z,
@@ -231,49 +255,54 @@ class TgrbfNet:
     # -- Jacobians ----------------------------------------------------------
 
     def jacobian_params(self, trace: ForwardTrace) -> np.ndarray:
-        """dy/dW in flat-vector layout (single-step, h_prev held fixed)."""
+        """dy/dW in flat-vector layout (single-step, h_prev held fixed).
+
+        Shape (P,) for a single-sample trace, (s, P) for a batched one."""
         x, h_prev = trace.x, trace.h_prev
-        g = trace.g
-        phi, z, r, n = trace.phi, trace.z, trace.r, trace.n
+        g = np.asarray(trace.g)
         one_m_g = 1.0 - g
+        gc, one_m_gc = g[..., None], one_m_g[..., None]   # one column per row
+        phi, z, n = trace.phi, trace.z, trace.n
 
-        diff = x - self.centers                         # (m, n_in)
-        d_rbf_w = g * phi
-        d_centers = (g * self.rbf_w * phi / self.widths ** 2)[:, None] * diff
-        d_widths = g * self.rbf_w * phi * np.sum(diff ** 2, axis=1) / self.widths ** 3
+        diff = x[..., None, :] - self.centers           # (..., m, n_in)
+        d_rbf_w = gc * phi
+        d_centers = (gc * self.rbf_w * phi / self.widths ** 2)[..., None] * diff
+        d_widths = gc * self.rbf_w * phi * np.sum(diff ** 2, axis=-1) / self.widths ** 3
 
-        q = one_m_g * self.out_w                        # dy/dh_next
+        q = one_m_gc * self.out_w                       # dy/dh_next
         mz = _clamp_mask(trace.pre_z)
         mr = _clamp_mask(trace.pre_r)
         zeta = trace.zeta
 
-        cz = q * (n - h_prev) * mz                      # (p,)
-        d_W_z = np.outer(cz, zeta)
+        cz = q * (n - h_prev) * mz                      # (..., p)
+        d_W_z = _outer(cz, zeta)
         d_b_z = cz
-        d_W_h = np.outer(q * z, trace.xi)
+        d_W_h = _outer(q * z, trace.xi)
         d_b_h = q * z
         # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
-        t = ((q * z) @ self.W_h[:, self.n_in:]) * h_prev * mr   # (p,)
-        d_W_r = np.outer(t, zeta)
+        t = ((q * z) @ self.W_h[:, self.n_in:]) * h_prev * mr   # (..., p)
+        d_W_r = _outer(t, zeta)
         d_b_r = t
 
         if self.gate_frozen:
-            s_g = 0.0
+            s_g = np.zeros_like(g)
         else:
             s_g = g * one_m_g * (trace.y_rbf - trace.y_gru)
-        d_gate_w = s_g * zeta
-        d_gate_b = np.array([s_g])
-        d_out_w = one_m_g * trace.h_next
-        d_out_b = np.array([one_m_g])
+        s_gc = s_g[..., None]
+        d_gate_w = s_gc * zeta
+        d_out_w = one_m_gc * trace.h_next
 
+        lead = g.shape
         return np.concatenate([
-            d_rbf_w, d_centers.ravel(), d_W_z.ravel(), d_W_r.ravel(),
-            d_W_h.ravel(), d_gate_w, d_gate_b, d_out_w, d_out_b,
+            d_rbf_w, d_centers.reshape(lead + (-1,)),
+            d_W_z.reshape(lead + (-1,)), d_W_r.reshape(lead + (-1,)),
+            d_W_h.reshape(lead + (-1,)), d_gate_w, s_gc, d_out_w, one_m_gc,
             d_widths, d_b_z, d_b_r, d_b_h,
-        ])
+        ], axis=-1)
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
-        """dy/dx including the RBF, LGRU and gate paths."""
+        """dy/dx including the RBF, LGRU and gate paths, for a single-sample
+        trace."""
         n_in = self.n_in
         g = trace.g
         diff = self.centers - trace.x
@@ -346,9 +375,8 @@ class TgrbfNet:
         """Boolean mask over the flat vector selecting the online-updated
         segments (RBF weights/centers, LGRU matrices, gate, readout)."""
         arrs = self._segment_arrays()
-        parts = [np.full(arrs[name].size, online, dtype=bool)
-                 for name, online in _SEGMENTS]
-        return np.concatenate(parts)
+        return np.repeat([online for _, online in _SEGMENTS],
+                         [arrs[name].size for name, _ in _SEGMENTS])
 
     def copy(self) -> "TgrbfNet":
         kw = {k: (v.copy() if isinstance(v, np.ndarray) else v)

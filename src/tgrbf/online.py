@@ -70,7 +70,9 @@ class ExperienceBuffer:
 
     When full, the entry with the smallest err_priority among the oldest
     ceil(N/4) entries is evicted (ties broken by lowest insertion index,
-    i.e. pure FIFO under equal priorities).
+    i.e. pure FIFO under equal priorities).  The priorities are mirrored in
+    a numpy array, oldest first; change them through set_priorities so the
+    array and each sample's err_priority stay in step.
     """
 
     def __init__(self, capacity: int = 1000):
@@ -79,53 +81,67 @@ class ExperienceBuffer:
         self.capacity = capacity
         self.entries: list = []        # samples, oldest first
         self._insert_idx: list[int] = []
+        self._priority = np.empty(capacity)
         self._counter = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def push(self, sample) -> None:
-        if len(self.entries) >= self.capacity:
-            q = math.ceil(len(self.entries) / 4)
-            evict = min(range(q),
-                        key=lambda i: (self.entries[i].err_priority,
-                                       self._insert_idx[i]))
+        n = len(self.entries)
+        if n >= self.capacity:
+            # argmin returns the first minimum: the oldest entry wins ties
+            evict = int(np.argmin(self._priority[:math.ceil(n / 4)]))
             del self.entries[evict]
             del self._insert_idx[evict]
+            self._priority[evict:n - 1] = self._priority[evict + 1:n]
+            n -= 1
+        self._priority[n] = sample.err_priority
         self.entries.append(sample)
         self._insert_idx.append(self._counter)
         self._counter += 1
 
+    def set_priorities(self, idx, priorities) -> None:
+        """Set the priorities of the entries at positions idx."""
+        for i, prio in zip(idx, priorities):
+            self.entries[i].err_priority = float(prio)
+            self._priority[i] = prio
 
-def sample_batch(buf: ExperienceBuffer, s: int, rng: np.random.Generator) -> list:
-    """Uniform sample without replacement; s is capped at the buffer size."""
+
+def sample_batch(buf: ExperienceBuffer, s: int,
+                 rng: np.random.Generator) -> tuple[list, np.ndarray]:
+    """Uniform sample without replacement; s is capped at the buffer size.
+    Returns the samples and their positions in the buffer."""
     n = len(buf)
     if n == 0:
-        return []
+        return [], np.empty(0, dtype=int)
     idx = rng.choice(n, size=min(s, n), replace=False)
-    return [buf.entries[i] for i in idx]
+    return [buf.entries[i] for i in idx], idx
 
 
 def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
-    """Hidden state used when replaying a buffered sample: a single
-    deploy-mode step from h_init on the sample's own input."""
+    """Hidden state used when replaying buffered samples: a single
+    deploy-mode step from h_init on each sample's own input.  x is one
+    input (n_in,) or a stacked batch (s, n_in)."""
     _, trace = net.forward(x, h_prev=net.h_init)
     return trace.h_next
+
+
+def _replay(net, batch):
+    """Residuals F_k = y_k - yhat_k of the whole batch, replayed with two
+    batched forward passes, and the trace of the evaluating pass."""
+    X = np.array([smp.x for smp in batch], dtype=float)
+    targets = np.array([smp.target for smp in batch], dtype=float)
+    y_hat, trace = net.forward(X, h_prev=replay_hidden_state(net, X))
+    return targets - y_hat, trace
 
 
 def residuals_and_jacobian(net, batch) -> tuple[np.ndarray, np.ndarray]:
     """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
-    mask = net.online_mask()
-    F = np.empty(len(batch))
-    J = np.empty((len(batch), int(mask.sum())))
-    for i, smp in enumerate(batch):
-        x = np.asarray(smp.x, dtype=float)
-        h_prev = replay_hidden_state(net, x)
-        y_hat, trace = net.forward(x, h_prev=h_prev)
-        F[i] = smp.target - y_hat
-        J[i] = -net.jacobian_params(trace)[mask]
-    return F, J
+    F, trace = _replay(net, batch)
+    # compress keeps J row-major; boolean column indexing would not
+    return F, -np.compress(net.online_mask(), net.jacobian_params(trace), axis=1)
 
 
 def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
@@ -169,7 +185,7 @@ def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
 
 
 def batch_loss(net, batch) -> float:
-    F, _ = residuals_and_jacobian(net, batch)
+    F, _ = _replay(net, batch)
     return float(F @ F) / (2.0 * len(batch))
 
 
@@ -192,7 +208,7 @@ class OnlineOptimizer:
         (skipped).  A rejected step leaves the network unchanged."""
         if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
             return None
-        batch = sample_batch(self.buf, self.cfg.batch_s, self.rng)
+        batch, idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
         if not batch:
             return None
         self.last_update_k = k
@@ -233,8 +249,7 @@ class OnlineOptimizer:
             event.loss_after = batch_loss(self.net, batch)
 
         # refresh replay priorities of the evaluated samples
-        for smp, f in zip(batch, F):
-            smp.err_priority = abs(float(f))
+        self.buf.set_priorities(idx, np.abs(F))
 
         self.events.append(event)
         return event

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgrbf import cli, harness
+from tgrbf import cli, harness, offline
 from tgrbf import plant as pl
+from tgrbf.network import TgrbfNet
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,3 +226,33 @@ def test_cli_run_pid_scenario(tmp_path):
 
 def test_cli_gradcheck_small():
     assert cli.main(["gradcheck", "--pairs", "5", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("epochs,halted", [(0, None), (3, 0)])
+def test_cli_identify_fit_report_keeps_halt_and_deploy_rows(tmp_path, epochs,
+                                                            halted):
+    cfg = tmp_path / "identify.json"
+    cfg.write_text(json.dumps({"n_samples": 200, "epochs": epochs,
+                               "m": 2, "p": 2, "seed": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "fit_report.csv").read_text().splitlines()
+    assert lines[0] == "metric,value"
+    rows = dict(line.split(",") for line in lines[1:])
+    values = {name: float(v) for name, v in rows.items()}   # all parse
+    for name in ("halted_epoch", "deploy_mse", "deploy_r2"):
+        assert name in values
+    epoch_rows = [n for n in rows if n.startswith("epoch_")]
+    assert all(n.endswith("_loss") for n in epoch_rows)
+    if halted is None:
+        assert rows["halted_epoch"] == "nan"
+        assert len(epoch_rows) == epochs + 1
+    else:
+        assert values["halted_epoch"] == halted
+        assert len(epoch_rows) == halted + 1
+    # the deploy rows are those of the written checkpoint on the holdout
+    net = TgrbfNet.load(out / "network.json")
+    data = offline.dataset_from_csv(out / "dataset.csv")
+    dep = offline.fit_metrics(*offline.evaluate_deploy(net, data.holdout()))
+    assert values["deploy_mse"] == pytest.approx(dep.mse, rel=1e-9)
+    assert values["deploy_r2"] == pytest.approx(dep.r2, rel=1e-9)

@@ -102,12 +102,40 @@ def test_buffer_matches_brute_force_small():
         assert [id(s) for s in buf.entries] == [id(s) for s in ref]
 
 
+def test_priority_refresh_reaches_eviction():
+    """After an update rewrites the priorities of the replayed samples, the
+    next evictions follow the new values, not the ones seen at push time."""
+    net = _net()
+    rng = np.random.Generator(np.random.PCG64(3))
+    residuals = [0.5, 0.1, 0.4, 0.05, 0.3, 0.2, 0.6, 0.7]
+    buf = online.ExperienceBuffer(capacity=len(residuals))
+    for r in residuals:
+        x = rng.uniform(-1.0, 1.0, size=net.n_in)
+        y, _ = net.forward(x, h_prev=online.replay_hidden_state(net, x))
+        buf.push(Sample(x=x, target=y + r, err_priority=10.0))
+    cfg = online.TriggerConfig(delta=0.01, batch_s=len(residuals))
+    opt = online.OnlineOptimizer(net, buf, cfg,
+                                 np.random.Generator(np.random.PCG64(0)))
+    assert opt.maybe_update(0, 1.0) is not None
+    got = [s.err_priority for s in buf.entries]
+    assert got == pytest.approx(residuals, abs=1e-12)
+    ref = list(buf.entries)
+    for _ in range(4):
+        s = Sample(x=np.zeros(net.n_in), target=0.0, err_priority=100.0)
+        buf.push(s)
+        ref = brute_force_push(ref, s, buf.capacity)
+        assert [id(e) for e in buf.entries] == [id(e) for e in ref]
+    # stale priorities (all 10.0) would have evicted the four oldest
+    assert [round(e.err_priority, 6) for e in ref[:4]] == [0.5, 0.2, 0.6, 0.7]
+
+
 # -- batch sampling ----------------------------------------------------------
 
 def test_sample_batch_empty_buffer():
     buf = online.ExperienceBuffer(4)
     rng = np.random.Generator(np.random.PCG64(0))
-    assert online.sample_batch(buf, 8, rng) == []
+    batch, idx = online.sample_batch(buf, 8, rng)
+    assert batch == [] and len(idx) == 0
 
 
 def test_sample_batch_caps_at_buffer_size_distinct():
@@ -115,17 +143,18 @@ def test_sample_batch_caps_at_buffer_size_distinct():
     for p in range(5):
         buf.push(_smp(p))
     rng = np.random.Generator(np.random.PCG64(0))
-    batch = online.sample_batch(buf, 32, rng)
+    batch, idx = online.sample_batch(buf, 32, rng)
     assert len(batch) == 5
     assert len({id(s) for s in batch}) == 5
+    assert [id(buf.entries[i]) for i in idx] == [id(s) for s in batch]
 
 
 def test_sample_batch_seeded_reproducible():
     buf = online.ExperienceBuffer(100)
     for p in range(50):
         buf.push(_smp(p))
-    a = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
-    b = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
+    a, _ = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
+    b, _ = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
     assert [id(s) for s in a] == [id(s) for s in b]
 
 
