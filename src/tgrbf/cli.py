@@ -54,6 +54,11 @@ def cmd_identify(args) -> int:
         w.writerow(["metric", "value"])
         for name in ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2"):
             w.writerow([name, f"{getattr(report, name):.17g}"])
+        # reference: the persistence predictor y_hat = y_prev on the holdout
+        hold = data.holdout()
+        persistence = offline.fit_metrics([s.x[1] for s in hold],
+                                          [s.target for s in hold])
+        w.writerow(["persistence_mse", f"{persistence.mse:.17g}"])
         # every value parses with float(): nan when training did not halt
         halted = report.halted_epoch
         w.writerow(["halted_epoch", "nan" if halted is None else halted])

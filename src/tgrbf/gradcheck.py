@@ -7,8 +7,6 @@ the subgradient convention makes the comparison ill-posed).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .network import TgrbfNet, random_net
@@ -28,63 +26,65 @@ def kink_clear(trace, margin: float = KINK_MARGIN) -> bool:
     return bool(np.all(np.minimum(np.abs(pre), np.abs(pre - 1.0)) >= margin))
 
 
-def _value_only(net: TgrbfNet, x: np.ndarray, h_prev: np.ndarray) -> float:
-    """Forward evaluation without trace construction (hot FD path)."""
-    d2 = np.sum((net.centers - x) ** 2, axis=1)
-    y_rbf = float(net.rbf_w @ np.exp(-d2 / (2.0 * net.widths ** 2)))
-    zeta = np.concatenate([x, h_prev])
-    z = np.clip(net.W_z @ zeta + net.b_z, 0.0, 1.0)
-    r = np.clip(net.W_r @ zeta + net.b_r, 0.0, 1.0)
-    n = net.W_h @ np.concatenate([x, r * h_prev]) + net.b_h
+def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Concatenate along the last axis, broadcasting the leading axes."""
+    lead = np.broadcast(a[..., 0], b[..., 0]).shape
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]),
+                           np.broadcast_to(b, lead + b.shape[-1:])], axis=-1)
+
+
+def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
+                gate_frozen: bool) -> np.ndarray:
+    """Network output from a dict of parameter arrays, written out
+    independently of the network kernel it audits.  `x` or any one entry
+    of `prm` may carry a leading perturbation axis; y then carries it too."""
+    mv = lambda A, v: np.einsum("...ij,...j->...i", A, v)
+    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+    d2 = np.sum((prm["centers"] - x[..., None, :]) ** 2, axis=-1)
+    y_rbf = dot(prm["rbf_w"], np.exp(-d2 / (2.0 * prm["widths"] ** 2)))
+    zeta = _cat(x, h_prev)
+    z = np.clip(mv(prm["W_z"], zeta) + prm["b_z"], 0.0, 1.0)
+    r = np.clip(mv(prm["W_r"], zeta) + prm["b_r"], 0.0, 1.0)
+    n = mv(prm["W_h"], _cat(x, r * h_prev)) + prm["b_h"]
     h_next = (1.0 - z) * h_prev + z * n
-    # gate_b/out_b may be boxed into 1-element arrays by the FD driver
-    out_b = float(np.asarray(net.out_b).ravel()[0])
-    gate_b = float(np.asarray(net.gate_b).ravel()[0])
-    y_gru = float(net.out_w @ h_next) + out_b
-    if net.gate_frozen:
-        g = 1.0
-    else:
-        g = 1.0 / (1.0 + math.exp(-(float(net.gate_w @ zeta) + gate_b)))
+    y_gru = dot(prm["out_w"], h_next) + prm["out_b"]
+    s = dot(prm["gate_w"], zeta) + prm["gate_b"]
+    # a frozen gate still takes the batch shape of a perturbed gate segment
+    g = np.ones_like(s) if gate_frozen else 1.0 / (1.0 + np.exp(-s))
     return g * y_rbf + (1.0 - g) * y_gru
+
+
+def _perturbed(base: np.ndarray, step: float) -> np.ndarray:
+    """The copies base + step*e_i, then base - step*e_i, for every element
+    i, stacked on a leading axis of length 2*size."""
+    e = step * np.eye(base.size)
+    flat = base.reshape(-1)
+    return np.concatenate([flat + e, flat - e]).reshape((-1,) + base.shape)
 
 
 def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of y with respect to the flat parameter
-    vector, holding h_prev fixed (same truncation as the analytic path)."""
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    work = net.copy()
-    # scalar fields are boxed into 1-element arrays so every segment can be
-    # perturbed in place through a flat view
-    work.gate_b = np.atleast_1d(float(work.gate_b))
-    work.out_b = np.atleast_1d(float(work.out_b))
+    vector, holding h_prev fixed (same truncation as the analytic path).
+    One oracle call per segment, over all of its perturbed copies."""
+    x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
+    prm = {name: np.asarray(getattr(net, name), dtype=float)
+           for name, _ in _SEGMENTS}
     out = []
     for name, _ in _SEGMENTS:
-        flat = getattr(work, name).reshape(-1)
-        seg = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            yp = _value_only(work, x, h_prev)
-            flat[i] = orig - step
-            ym = _value_only(work, x, h_prev)
-            flat[i] = orig
-            seg[i] = (yp - ym) / (2.0 * step)
-        out.append(seg)
+        rows = _perturbed(prm[name], step)
+        yp, ym = np.split(_value_only({**prm, name: rows}, x, h_prev,
+                                      net.gate_frozen), 2)
+        out.append((yp - ym) / (2.0 * step))
     return np.concatenate(out)
 
 
 def fd_jacobian_input(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        yp = _value_only(net, xp, h_prev)
-        ym = _value_only(net, xm, h_prev)
-        out[i] = (yp - ym) / (2.0 * step)
-    return out
+    prm = {name: np.asarray(getattr(net, name), dtype=float)
+           for name, _ in _SEGMENTS}
+    xs = _perturbed(np.asarray(x, dtype=float), step)
+    yp, ym = np.split(_value_only(prm, xs, np.asarray(h_prev, dtype=float),
+                                  net.gate_frozen), 2)
+    return (yp - ym) / (2.0 * step)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -1,0 +1,208 @@
+"""The finite-difference oracle of tgrbf.gradcheck.
+
+The oracle evaluates all perturbed copies of one parameter segment (or of
+the input) in one call.  The reference below is the scalar oracle it
+replaced: one forward evaluation per perturbed element, on a copy of the
+network with the scalar biases boxed so that every segment can be perturbed
+in place.  The tests check that the batched oracle agrees with it, that it
+never calls the network kernel it audits, and that the audit still catches
+a wrong Jacobian.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tgrbf import gradcheck, network
+from tgrbf.gradcheck import (FD_STEP, fd_jacobian_input, fd_jacobian_params,
+                             gradient_audit)
+from tgrbf.network import TgrbfNet, _SEGMENTS, random_net
+
+FD_TOL = 1e-9       # absolute, FD columns against the scalar reference
+VALUE_TOL = 1e-12   # relative, oracle values against the scalar reference
+
+
+def _rel(got, want):
+    """Max abs difference over max(1, max |want|), the convention of the
+    audit itself (y is a difference of O(1) terms and may sit near 0)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(got - want))) / scale
+
+
+# -- scalar reference ---------------------------------------------------------
+
+def _ref_value(net, x, h_prev):
+    d2 = np.sum((net.centers - x) ** 2, axis=1)
+    y_rbf = float(net.rbf_w @ np.exp(-d2 / (2.0 * net.widths ** 2)))
+    zeta = np.concatenate([x, h_prev])
+    z = np.clip(net.W_z @ zeta + net.b_z, 0.0, 1.0)
+    r = np.clip(net.W_r @ zeta + net.b_r, 0.0, 1.0)
+    n = net.W_h @ np.concatenate([x, r * h_prev]) + net.b_h
+    h_next = (1.0 - z) * h_prev + z * n
+    out_b = float(np.asarray(net.out_b).ravel()[0])
+    gate_b = float(np.asarray(net.gate_b).ravel()[0])
+    y_gru = float(net.out_w @ h_next) + out_b
+    if net.gate_frozen:
+        g = 1.0
+    else:
+        g = 1.0 / (1.0 + math.exp(-(float(net.gate_w @ zeta) + gate_b)))
+    return g * y_rbf + (1.0 - g) * y_gru
+
+
+def _boxed(net):
+    work = net.copy()
+    work.gate_b = np.atleast_1d(float(work.gate_b))
+    work.out_b = np.atleast_1d(float(work.out_b))
+    return work
+
+
+def _ref_segment(net, name, x, h_prev, step=FD_STEP):
+    """Per-element perturbed parameter values and output values, in the
+    order + for every element, then - for every element."""
+    work = _boxed(net)
+    flat = getattr(work, name).reshape(-1)
+    rows, values = [], []
+    for sign in (1.0, -1.0):
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + sign * step
+            rows.append(flat.copy())
+            values.append(_ref_value(work, x, h_prev))
+            flat[i] = orig
+    return np.array(rows), np.array(values)
+
+
+def _ref_fd_params(net, x, h_prev, step=FD_STEP):
+    work = _boxed(net)
+    out = []
+    for name, _ in _SEGMENTS:
+        flat = getattr(work, name).reshape(-1)
+        seg = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            yp = _ref_value(work, x, h_prev)
+            flat[i] = orig - step
+            ym = _ref_value(work, x, h_prev)
+            flat[i] = orig
+            seg[i] = (yp - ym) / (2.0 * step)
+        out.append(seg)
+    return np.concatenate(out)
+
+
+def _ref_fd_input(net, x, h_prev, step=FD_STEP):
+    out = np.empty_like(x)
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += step
+        xm[i] -= step
+        out[i] = (_ref_value(net, xp, h_prev)
+                  - _ref_value(net, xm, h_prev)) / (2.0 * step)
+    return out
+
+
+def _cases(seed, n):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for k in range(n):
+        m, p = (int(v) for v in rng.integers(1, 9, size=2))
+        net = random_net(3, m, p, rng)
+        net.gate_frozen = bool(k % 2)
+        yield (net, rng.uniform(-1.5, 1.5, size=3),
+               rng.uniform(-0.5, 0.5, size=p))
+
+
+def _params(net):
+    return {name: np.asarray(getattr(net, name), dtype=float)
+            for name, _ in _SEGMENTS}
+
+
+# -- equivalence with the scalar reference ------------------------------------
+
+def test_batched_fd_matches_scalar_reference():
+    for net, x, h_prev in _cases(20, 60):
+        jp = fd_jacobian_params(net, x, h_prev)
+        assert jp.shape == (net.count_parameters(),)
+        assert np.max(np.abs(jp - _ref_fd_params(net, x, h_prev))) <= FD_TOL
+        jx = fd_jacobian_input(net, x, h_prev)
+        assert jx.shape == x.shape
+        assert np.max(np.abs(jx - _ref_fd_input(net, x, h_prev))) <= FD_TOL
+
+
+def test_batched_values_match_scalar_reference_per_perturbation():
+    for net, x, h_prev in _cases(21, 30):
+        prm = _params(net)
+        for name, _ in _SEGMENTS:
+            rows = gradcheck._perturbed(prm[name], FD_STEP)
+            ref_rows, ref_values = _ref_segment(net, name, x, h_prev)
+            # the perturbed parameters are those of the scalar loop, exactly
+            assert np.array_equal(rows.reshape(len(rows), -1), ref_rows)
+            values = gradcheck._value_only({**prm, name: rows}, x, h_prev,
+                                           net.gate_frozen)
+            assert _rel(values, ref_values) <= VALUE_TOL
+        xs = gradcheck._perturbed(x, FD_STEP)
+        values = gradcheck._value_only(prm, xs, h_prev, net.gate_frozen)
+        ref_values = [_ref_value(net, xi, h_prev) for xi in xs]
+        assert _rel(values, ref_values) <= VALUE_TOL
+
+
+def test_unperturbed_value_matches_forward():
+    for net, x, h_prev in _cases(22, 20):
+        y, _ = net.forward(x, h_prev=h_prev)
+        value = gradcheck._value_only(_params(net), x, h_prev, net.gate_frozen)
+        assert _rel(value, y) <= VALUE_TOL
+
+
+def test_frozen_gate_columns_are_exactly_zero():
+    for net, x, h_prev in _cases(23, 20):
+        net.gate_frozen = True
+        jp = fd_jacobian_params(net, x, h_prev)
+        assert jp.shape == (net.count_parameters(),)
+        layout = {n: (o, s) for n, o, s in net.layout()}
+        for name in ("gate_w", "gate_b"):
+            off, size = layout[name]
+            assert np.all(jp[off:off + size] == 0.0)
+
+
+# -- independence from the audited kernel -------------------------------------
+
+def test_oracle_never_calls_the_network_kernel(monkeypatch):
+    cases = list(_cases(24, 10))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle called the kernel it audits")
+
+    monkeypatch.setattr(TgrbfNet, "forward", boom)
+    monkeypatch.setattr(TgrbfNet, "jacobian_params", boom)
+    monkeypatch.setattr(TgrbfNet, "jacobian_input", boom)
+    for name in ("rbf_forward", "lgru_step", "gate_value"):
+        monkeypatch.setattr(network, name, boom)
+    for net, x, h_prev in cases:
+        assert np.all(np.isfinite(fd_jacobian_params(net, x, h_prev)))
+        assert np.all(np.isfinite(fd_jacobian_input(net, x, h_prev)))
+
+
+# -- sensitivity: a wrong Jacobian is caught ----------------------------------
+
+@pytest.mark.parametrize("segment", [name for name, _ in _SEGMENTS])
+def test_audit_catches_scaled_param_segment(monkeypatch, segment):
+    analytic = TgrbfNet.jacobian_params
+
+    def scaled(self, trace):
+        J = analytic(self, trace).copy()
+        off, size = {n: (o, s) for n, o, s in self.layout()}[segment]
+        J[..., off:off + size] *= 1.01
+        return J
+
+    monkeypatch.setattr(TgrbfNet, "jacobian_params", scaled)
+    assert gradient_audit(n_pairs=20, seed=3) >= 1e-5
+
+
+def test_audit_catches_scaled_input_jacobian(monkeypatch):
+    assert gradient_audit(n_pairs=20, seed=3) < 1e-5   # the same pairs pass
+    analytic = TgrbfNet.jacobian_input
+    monkeypatch.setattr(TgrbfNet, "jacobian_input",
+                        lambda self, trace: 1.01 * analytic(self, trace))
+    assert gradient_audit(n_pairs=20, seed=3) >= 1e-5

@@ -256,3 +256,21 @@ def test_cli_identify_fit_report_keeps_halt_and_deploy_rows(tmp_path, epochs,
     dep = offline.fit_metrics(*offline.evaluate_deploy(net, data.holdout()))
     assert values["deploy_mse"] == pytest.approx(dep.mse, rel=1e-9)
     assert values["deploy_r2"] == pytest.approx(dep.r2, rel=1e-9)
+
+
+def test_cli_identify_fit_report_has_persistence_reference(tmp_path):
+    cfg = tmp_path / "identify.json"
+    cfg.write_text(json.dumps({"n_samples": 200, "epochs": 2,
+                               "m": 2, "p": 2, "seed": 4}))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "fit_report.csv").read_text().splitlines()
+    rows = dict(line.split(",") for line in lines[1:])
+    value = float(rows["persistence_mse"])
+    # y_hat = y_prev against the target, on the holdout of the written data
+    hold = offline.dataset_from_csv(out / "dataset.csv").holdout()
+    y_prev = np.array([s.x[1] for s in hold])
+    target = np.array([s.target for s in hold])
+    assert value > 0.0
+    assert value == pytest.approx(float(np.mean((target - y_prev) ** 2)),
+                                  rel=1e-12)
