@@ -315,11 +315,12 @@ def _fmt(v: float) -> str:
 
 
 def export_trace_csv(trace: RunTrace, path) -> None:
+    """Values as %.17g, CRLF line ends (the csv module's bytes for these
+    unquoted fields), streamed row by row, never built whole in memory."""
+    line = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for row in trace.data:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(line % tuple(row.tolist()) for row in trace.data)
 
 
 def export_metrics_csv(rep: MetricsReport, path) -> None:

@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 # Derivative of clamp(a, 0, 1): 1 strictly inside (0, 1), 0 outside and at
-# the kinks themselves (saturated gates stay frozen).
+# the kinks themselves (saturated gates stay frozen), as a bool 0/1 mask.
 def _clamp_mask(pre: np.ndarray) -> np.ndarray:
-    return ((pre > 0.0) & (pre < 1.0)).astype(float)
+    return (pre > 0.0) & (pre < 1.0)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,12 +66,13 @@ def rbf_forward(x, centers, widths, weights):
     an (s,) array and phi has shape (m,) or (s, m)."""
     x = np.asarray(x, dtype=float)
     centers = np.asarray(centers, dtype=float)
+    widths = np.asarray(widths, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != x.shape[-1]:
         raise ValueError(f"centers shape {centers.shape} incompatible with input {x.shape}")
-    if np.any(np.asarray(widths) <= 0.0):
+    if (widths <= 0.0).any():
         raise ValueError("all kernel widths must be positive")
-    d2 = np.sum((centers - x[..., None, :]) ** 2, axis=-1)
-    phi = np.exp(-d2 / (2.0 * np.asarray(widths, dtype=float) ** 2))
+    d2 = ((centers - x[..., None, :]) ** 2).sum(axis=-1)
+    phi = np.exp(-d2 / (2.0 * widths ** 2))
     return _item(phi @ weights), phi
 
 
@@ -85,8 +86,8 @@ def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
     zeta = np.concatenate([x, h_prev], axis=-1)
     pre_z = zeta @ W_z.T + b_z
     pre_r = zeta @ W_r.T + b_r
-    z = np.clip(pre_z, 0.0, 1.0)
-    r = np.clip(pre_r, 0.0, 1.0)
+    z = pre_z.clip(0.0, 1.0)
+    r = pre_r.clip(0.0, 1.0)
     xi = np.concatenate([x, r * h_prev], axis=-1)
     n = xi @ W_h.T + b_h
     h_next = (1.0 - z) * h_prev + z * n
@@ -216,6 +217,19 @@ class TgrbfNet:
         h_prev = self.h if h_prev is None else h_prev
         return gate_value(x, h_prev, self.gate_w, self.gate_b)
 
+    def _inputs(self, x, h_prev) -> tuple[np.ndarray, np.ndarray]:
+        """Checked float input and its hidden state, broadcast for a batch."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
+            raise ValueError(f"input must have shape ({self.n_in},) or "
+                             f"(s, {self.n_in}), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite network input")
+        h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
+        if x.ndim == 2:
+            h_prev = np.broadcast_to(h_prev, (x.shape[0], self.p))
+        return x, h_prev
+
     def forward(self, x, h_prev=None) -> tuple[float | np.ndarray, ForwardTrace]:
         """Evaluate the network at input x with hidden state h_prev
         (defaults to the stored state).  Pure: does not mutate self.
@@ -223,16 +237,7 @@ class TgrbfNet:
         x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
         is (s, p) or one (p,) state shared by every row, y is an (s,)
         array and every trace field carries the batch axis."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
-            raise ValueError(f"input must have shape ({self.n_in},) or "
-                             f"(s, {self.n_in}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite network input")
-        h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        if x.ndim == 2:
-            h_prev = np.broadcast_to(h_prev, (x.shape[0], self.p))
-
+        x, h_prev = self._inputs(x, h_prev)
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, y_gru, it = lgru_step(x, h_prev, self.W_z, self.b_z,
                                       self.W_r, self.b_r, self.W_h, self.b_h,
@@ -267,7 +272,7 @@ class TgrbfNet:
         diff = x[..., None, :] - self.centers           # (..., m, n_in)
         d_rbf_w = gc * phi
         d_centers = (gc * self.rbf_w * phi / self.widths ** 2)[..., None] * diff
-        d_widths = gc * self.rbf_w * phi * np.sum(diff ** 2, axis=-1) / self.widths ** 3
+        d_widths = gc * self.rbf_w * phi * (diff ** 2).sum(axis=-1) / self.widths ** 3
 
         q = one_m_gc * self.out_w                       # dy/dh_next
         mz = _clamp_mask(trace.pre_z)
@@ -306,8 +311,8 @@ class TgrbfNet:
         n_in = self.n_in
         g = trace.g
         diff = self.centers - trace.x
-        d_rbf = g * np.sum((self.rbf_w * trace.phi / self.widths ** 2)[:, None] * diff,
-                           axis=0)
+        d_rbf = g * ((self.rbf_w * trace.phi / self.widths ** 2)[:, None] * diff
+                     ).sum(axis=0)
 
         q = (1.0 - g) * self.out_w
         mz = _clamp_mask(trace.pre_z)

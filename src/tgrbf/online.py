@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import lgru_step
+
 __all__ = [
     "TriggerConfig", "UpdateEvent", "ExperienceBuffer", "OnlineOptimizer",
     "should_trigger", "sample_batch", "residuals_and_jacobian",
@@ -120,16 +122,17 @@ def sample_batch(buf: ExperienceBuffer, s: int,
 
 
 def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
-    """Hidden state used when replaying buffered samples: a single
-    deploy-mode step from h_init on each sample's own input.  x is one
-    input (n_in,) or a stacked batch (s, n_in)."""
-    _, trace = net.forward(x, h_prev=net.h_init)
-    return trace.h_next
+    """Hidden state used when replaying buffered samples: the LGRU step
+    alone (no RBF branch or gate) from h_init on each sample's own input,
+    after forward's input checks.  x is (n_in,) or a stacked (s, n_in)."""
+    x, h_init = net._inputs(x, net.h_init)
+    return lgru_step(x, h_init, net.W_z, net.b_z, net.W_r, net.b_r,
+                     net.W_h, net.b_h, net.out_w, net.out_b)[0]
 
 
 def _replay(net, batch):
-    """Residuals F_k = y_k - yhat_k of the whole batch, replayed with two
-    batched forward passes, and the trace of the evaluating pass."""
+    """Residuals F_k = y_k - yhat_k of the whole batch, replayed with one
+    batched recurrence step and one batched forward, and that forward's trace."""
     X = np.array([smp.x for smp in batch], dtype=float)
     targets = np.array([smp.target for smp in batch], dtype=float)
     y_hat, trace = net.forward(X, h_prev=replay_hidden_state(net, X))
@@ -155,7 +158,7 @@ def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
 
 
 def step_size_safeguard(eta: float, J: np.ndarray, alpha: float,
-                        eta_max: float) -> tuple[float, bool, float]:
+                        eta_max: float) -> tuple[float, bool, float, float]:
     """Cap eta by the singular-value stability bound.
 
     cap = max(0, (s_min^2 - 2 a^2 L^2 / s_min^2) / s_max^2) with L taken as
