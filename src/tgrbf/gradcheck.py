@@ -17,6 +17,7 @@ __all__ = ["fd_jacobian_params", "fd_jacobian_input", "gradient_audit",
 
 FD_STEP = 1e-6
 KINK_MARGIN = 1e-3
+FD_BLOCK_BYTES = 512 * 1024   # stacked parameters per oracle call
 
 
 def kink_clear(trace, margin: float = KINK_MARGIN) -> bool:
@@ -36,8 +37,8 @@ def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
                 gate_frozen: bool) -> np.ndarray:
     """Network output from a dict of parameter arrays, written out
-    independently of the network kernel it audits.  `x` or any one entry
-    of `prm` may carry a leading perturbation axis; y then carries it too."""
+    independently of the network kernel it audits.  `x` or entries of `prm`
+    may carry a common leading perturbation axis; y then carries it too."""
     mv = lambda A, v: np.einsum("...ij,...j->...i", A, v)
     dot = lambda a, b: np.einsum("...i,...i->...", a, b)
     d2 = np.sum((prm["centers"] - x[..., None, :]) ** 2, axis=-1)
@@ -65,17 +66,24 @@ def _perturbed(base: np.ndarray, step: float) -> np.ndarray:
 def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of y with respect to the flat parameter
     vector, holding h_prev fixed (same truncation as the analytic path).
-    One oracle call per segment, over all of its perturbed copies."""
+    The 2P copies W + step*e_i, then W - step*e_i, of the whole vector go
+    through the oracle in blocks of at most FD_BLOCK_BYTES of parameters."""
     x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
     prm = {name: np.asarray(getattr(net, name), dtype=float)
            for name, _ in _SEGMENTS}
-    out = []
-    for name, _ in _SEGMENTS:
-        rows = _perturbed(prm[name], step)
-        yp, ym = np.split(_value_only({**prm, name: rows}, x, h_prev,
-                                      net.gate_frozen), 2)
-        out.append((yp - ym) / (2.0 * step))
-    return np.concatenate(out)
+    W = np.concatenate([a.ravel() for a in prm.values()])
+    ends = np.cumsum([a.size for a in prm.values()])[:-1]
+    P = W.size
+    rows = max(1, FD_BLOCK_BYTES // (W.itemsize * P))
+    y = np.empty(2 * P)
+    for a in range(0, 2 * P, rows):
+        i = np.arange(a, min(a + rows, 2 * P))
+        block = np.tile(W, (i.size, 1))
+        block[np.arange(i.size), i % P] += np.where(i < P, step, -step)
+        y[i] = _value_only({name: seg.reshape((i.size,) + prm[name].shape)
+                            for name, seg in zip(prm, np.split(block, ends, axis=1))},
+                           x, h_prev, net.gate_frozen)
+    return (y[:P] - y[P:]) / (2.0 * step)
 
 
 def fd_jacobian_input(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:

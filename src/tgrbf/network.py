@@ -145,6 +145,8 @@ _SEGMENTS = [
     ("b_r", False),
     ("b_h", False),
 ]
+# The online segments lead, so the online set is a prefix of the flat vector.
+_ONLINE = [seg for seg in _SEGMENTS if seg[1]]
 
 
 @dataclass
@@ -352,8 +354,11 @@ class TgrbfNet:
         return out
 
     def to_vector(self) -> np.ndarray:
+        return self._vector(_SEGMENTS)
+
+    def _vector(self, segments: list) -> np.ndarray:
         arrs = self._segment_arrays()
-        return np.concatenate([arrs[name].ravel() for name, _ in _SEGMENTS])
+        return np.concatenate([arrs[name].ravel() for name, _ in segments])
 
     def from_vector(self, vec: np.ndarray) -> None:
         """Load parameters from a flat vector (inverse of to_vector)."""
@@ -361,9 +366,15 @@ class TgrbfNet:
         if vec.shape != (self.count_parameters(),):
             raise ValueError(f"expected vector of length {self.count_parameters()}, "
                              f"got {vec.shape}")
+        self._load(vec, _SEGMENTS)
+        if np.any(self.widths <= 0.0):
+            raise ValueError("all kernel widths must be positive")
+
+    def _load(self, vec: np.ndarray, segments: list) -> None:
+        """Set the leading `segments` of the layout from the flat vec."""
         arrs = self._segment_arrays()
         off = 0
-        for name, _ in _SEGMENTS:
+        for name, _ in segments:
             arr = arrs[name]
             chunk = vec[off:off + arr.size].reshape(arr.shape)
             off += arr.size
@@ -373,8 +384,6 @@ class TgrbfNet:
                 self.out_b = float(chunk[0])
             else:
                 setattr(self, name, chunk.copy())
-        if np.any(self.widths <= 0.0):
-            raise ValueError("all kernel widths must be positive")
 
     def online_mask(self) -> np.ndarray:
         """Boolean mask over the flat vector selecting the online-updated

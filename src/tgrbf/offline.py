@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import plant as pl
-from .network import TgrbfNet
+from .network import TgrbfNet, lgru_step
 from .online import explicit_step_size
 
 __all__ = [
@@ -148,19 +148,35 @@ def initialize_network(data: Dataset, m: int = 6, p: int = 6,
     )
 
 
-def _chunk_pass(net: TgrbfNet, chunk: list, with_jacobian: bool):
-    """Teacher-forcing pass over one contiguous chunk, hidden state reset at
-    the chunk start.  Returns (F, J) with J rows -d yhat/dW (all segments)."""
-    h = net.h_init.copy()
-    F = np.empty(len(chunk))
-    J = np.empty((len(chunk), net.count_parameters())) if with_jacobian else None
-    for i, smp in enumerate(chunk):
-        y_hat, trace = net.forward(smp.x, h_prev=h)
-        F[i] = smp.target - y_hat
-        if with_jacobian:
-            J[i] = -net.jacobian_params(trace)
-        h = trace.h_next
-    return F, J
+def _stack(samples: list, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (s, n_in) and targets (s,) of a list of samples."""
+    X = np.array([smp.x for smp in samples], dtype=float).reshape(-1, n_in)
+    return X, np.array([smp.target for smp in samples], dtype=float)
+
+
+def _sequence_forward(net: TgrbfNet, X: np.ndarray):
+    """One-step predictions over a chronological input sequence, hidden state
+    reset to h_init at its start.  Returns (y_hat, trace), batched.
+    The hidden-state chain depends on the LGRU branch alone, so it is scanned
+    one sample at a time with `lgru_step` (bit for bit the h_next chain of
+    single-sample forwards); the outputs then come from one batched forward."""
+    H = np.empty((len(X), net.p))
+    H[:1] = net.h_init
+    for i in range(1, len(X)):
+        H[i] = lgru_step(X[i - 1], H[i - 1], net.W_z, net.b_z, net.W_r,
+                         net.b_r, net.W_h, net.b_h, net.out_w, net.out_b)[0]
+    return net.forward(X, h_prev=H)
+
+
+def _ridge_rows(net: TgrbfNet, chunks: list) -> np.ndarray:
+    """Rows [g*phi, (1-g)*h_next, 1-g] of the output-layer system, stacked
+    over the chunks: y_hat is their dot product with (rbf_w, out_w, out_b)."""
+    rows = []
+    for X, _ in chunks:
+        _, tr = _sequence_forward(net, X)
+        g = tr.g[:, None]
+        rows.append(np.hstack([g * tr.phi, (1.0 - g) * tr.h_next, 1.0 - g]))
+    return np.vstack(rows)
 
 
 def _solve_output_layers(net: TgrbfNet, chunks: list, ridge: float = 1e-6) -> None:
@@ -170,36 +186,25 @@ def _solve_output_layers(net: TgrbfNet, chunks: list, ridge: float = 1e-6) -> No
     current-parameter traces, the prediction is linear in (rbf_w, out_w,
     out_b); solving that ridge system in closed form gives a far better
     starting point than random output weights."""
-    rows, targets = [], []
-    for chunk in chunks:
-        h = net.h_init.copy()
-        for smp in chunk:
-            _, tr = net.forward(smp.x, h_prev=h)
-            rows.append(np.concatenate([
-                tr.g * tr.phi, (1.0 - tr.g) * tr.h_next, [(1.0 - tr.g)]]))
-            targets.append(smp.target)
-            h = tr.h_next
-    A = np.stack(rows)
-    b = np.asarray(targets)
+    A = _ridge_rows(net, chunks)
+    b = np.concatenate([targets for _, targets in chunks])
     AtA = A.T @ A
     # scale-aware ridge: collinear hidden features otherwise produce huge
     # mutually-cancelling weights that do not generalize
     AtA += ridge * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
     sol = np.linalg.solve(AtA, A.T @ b)
-    m = net.rbf_w.size
-    p = net.out_w.size
+    m, p = net.rbf_w.size, net.out_w.size
     net.rbf_w = sol[:m].copy()
     net.out_w = sol[m:m + p].copy()
     net.out_b = float(sol[-1])
 
 
 def _epoch_loss(net: TgrbfNet, chunks: list) -> float:
-    total, count = 0.0, 0
-    for chunk in chunks:
-        F, _ = _chunk_pass(net, chunk, with_jacobian=False)
+    total = 0.0
+    for X, targets in chunks:
+        F = targets - _sequence_forward(net, X)[0]
         total += float(F @ F)
-        count += len(chunk)
-    return total / (2.0 * count)
+    return total / (2.0 * sum(len(targets) for _, targets in chunks))
 
 
 def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
@@ -213,15 +218,14 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
     loss than the previous one the epoch is reverted and training halts with
     a step-rejection diagnostic.
     """
-    if not data.train():
+    train = data.train()
+    if not train:
         raise ValueError("empty training set")
     net = net.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    train = data.train()
-    chunks = [train[i:i + chunk_len] for i in range(0, len(train), chunk_len)]
-
-    layout = dict((name, (off, size)) for name, off, size in net.layout())
-    w_off, w_size = layout["widths"]
+    chunks = [_stack(train[i:i + chunk_len], net.n_in)
+              for i in range(0, len(train), chunk_len)]
+    w_off, w_size = {n: (o, size) for n, o, size in net.layout()}["widths"]
 
     _solve_output_layers(net, chunks)
     W = net.to_vector()
@@ -233,13 +237,12 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
         W_prev_start = W_prev.copy()
         order = rng.permutation(len(chunks))
         for ci in order:
-            F, J = _chunk_pass(net, chunks[ci], with_jacobian=True)
-            s = len(chunks[ci])
-            grad = (J.T @ F) / s
+            X, targets = chunks[ci]
+            y_hat, trace = _sequence_forward(net, X)
+            F, J = targets - y_hat, -net.jacobian_params(trace)   # J = dF/dW
+            grad = (J.T @ F) / len(F)
             eta, degenerate = explicit_step_size(F, J)
-            if degenerate:
-                eta = min(eta_max, 1.0)
-            eta = min(eta, eta_max)
+            eta = min(eta_max, 1.0) if degenerate else min(eta, eta_max)
             W_next = W - eta * grad + momentum * (W - W_prev)
             if not np.all(np.isfinite(W_next)):
                 W_prev = W.copy()     # reject step, drop momentum
@@ -258,10 +261,8 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
             break
         loss_curve.append(loss)
 
-    pred, actual = evaluate_teacher(net, data.holdout())
-    report = fit_metrics(pred, actual)
-    dpred, dactual = evaluate_deploy(net, data.holdout())
-    dep = fit_metrics(dpred, dactual)
+    report = fit_metrics(*evaluate_teacher(net, data.holdout()))
+    dep = fit_metrics(*evaluate_deploy(net, data.holdout()))
     report.deploy_mse, report.deploy_r2 = dep.mse, dep.r2
     report.loss_curve = loss_curve
     report.halted_epoch = halted
@@ -272,31 +273,16 @@ def evaluate_teacher(net: TgrbfNet, samples: list) -> tuple[np.ndarray, np.ndarr
     """Sequential one-step predictions over a chronological sample sequence
     under the training-time input convention (teacher slot carries the true
     current output); hidden state reset at the start."""
-    h = net.h_init.copy()
-    pred = np.empty(len(samples))
-    actual = np.empty(len(samples))
-    for i, smp in enumerate(samples):
-        y_hat, trace = net.forward(smp.x, h_prev=h)
-        h = trace.h_next
-        pred[i] = y_hat
-        actual[i] = smp.target
-    return pred, actual
+    X, actual = _stack(samples, net.n_in)
+    return _sequence_forward(net, X)[0], actual
 
 
 def evaluate_deploy(net: TgrbfNet, samples: list) -> tuple[np.ndarray, np.ndarray]:
     """Sequential deploy-mode one-step predictions over a chronological
-    sample sequence (hidden state reset at the start)."""
-    net = net.copy()
-    net.reset()
-    pred = np.empty(len(samples))
-    actual = np.empty(len(samples))
-    for i, smp in enumerate(samples):
-        x = deploy_input(float(smp.x[0]), float(smp.x[1]))
-        y_hat, trace = net.forward(x)
-        net.h = trace.h_next
-        pred[i] = y_hat
-        actual[i] = smp.target
-    return pred, actual
+    sample sequence (hidden state reset at the start): each input is
+    deploy_input(u_k, y_prev)."""
+    X, actual = _stack(samples, net.n_in)
+    return _sequence_forward(net, deploy_input(X[:, 0], X[:, 1]).T)[0], actual
 
 
 def fit_metrics(pred, actual) -> FitReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import lgru_step
+from .network import _ONLINE, lgru_step
 
 __all__ = [
     "TriggerConfig", "UpdateEvent", "ExperienceBuffer", "OnlineOptimizer",
@@ -143,8 +143,9 @@ def residuals_and_jacobian(net, batch) -> tuple[np.ndarray, np.ndarray]:
     """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
     F, trace = _replay(net, batch)
-    # compress keeps J row-major; boolean column indexing would not
-    return F, -np.compress(net.online_mask(), net.jacobian_params(trace), axis=1)
+    # the online columns are a prefix; negating the slice copies it row-major
+    n = sum(np.size(getattr(net, name)) for name, _ in _ONLINE)
+    return F, -net.jacobian_params(trace)[:, :n]
 
 
 def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
@@ -201,8 +202,7 @@ class OnlineOptimizer:
         self.buf = buf
         self.cfg = cfg
         self.rng = rng
-        self.mask = net.online_mask()
-        self.W_prev_masked = net.to_vector()[self.mask]
+        self.W_prev_masked = net._vector(_ONLINE)
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
 
@@ -230,8 +230,7 @@ class OnlineOptimizer:
             eta0, J, self.cfg.momentum_alpha, self.cfg.eta_max)
         hit = hit or degenerate
 
-        W = self.net.to_vector()
-        Wm = W[self.mask]
+        Wm = self.net._vector(_ONLINE)
         Wm_next = momentum_update(Wm, self.W_prev_masked, grad, eta,
                                   self.cfg.momentum_alpha)
         event = UpdateEvent(k=k, eta=eta, loss_before=loss_before,
@@ -245,9 +244,7 @@ class OnlineOptimizer:
             event.rejected = True
             event.eta = 0.0
         else:
-            W_next = W.copy()
-            W_next[self.mask] = Wm_next
-            self.net.from_vector(W_next)
+            self.net._load(Wm_next, _ONLINE)
             self.W_prev_masked = Wm
             event.loss_after = batch_loss(self.net, batch)
 

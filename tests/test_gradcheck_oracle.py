@@ -1,15 +1,17 @@
 """The finite-difference oracle of tgrbf.gradcheck.
 
-The oracle evaluates all perturbed copies of one parameter segment (or of
-the input) in one call.  The reference below is the scalar oracle it
-replaced: one forward evaluation per perturbed element, on a copy of the
-network with the scalar biases boxed so that every segment can be perturbed
-in place.  The tests check that the batched oracle agrees with it, that it
-never calls the network kernel it audits, and that the audit still catches
-a wrong Jacobian.
+The oracle evaluates the perturbed copies of the whole parameter vector in
+blocks of rows (and all perturbed inputs in one call).  The references below
+are the scalar oracle: one forward evaluation per perturbed element, on a
+copy of the network with the scalar biases boxed so that every segment can
+be perturbed in place; and the per-segment oracle, one call per parameter
+segment.  The tests check that the blocked oracle agrees with both, that its
+blocks and peak memory stay within the block budget, that it never calls the
+network kernel it audits, and that the audit still catches a wrong Jacobian.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +106,18 @@ def _ref_fd_input(net, x, h_prev, step=FD_STEP):
     return out
 
 
+def _per_segment_fd_params(net, x, h_prev, step=FD_STEP):
+    """One oracle call per parameter segment, over all of its copies."""
+    prm = _params(net)
+    out = []
+    for name, _ in _SEGMENTS:
+        rows = gradcheck._perturbed(prm[name], step)
+        yp, ym = np.split(gradcheck._value_only({**prm, name: rows}, x, h_prev,
+                                                net.gate_frozen), 2)
+        out.append((yp - ym) / (2.0 * step))
+    return np.concatenate(out)
+
+
 def _cases(seed, n):
     rng = np.random.Generator(np.random.PCG64(seed))
     for k in range(n):
@@ -129,6 +143,57 @@ def test_batched_fd_matches_scalar_reference():
         jx = fd_jacobian_input(net, x, h_prev)
         assert jx.shape == x.shape
         assert np.max(np.abs(jx - _ref_fd_input(net, x, h_prev))) <= FD_TOL
+
+
+def _count_oracle_calls(monkeypatch):
+    calls = []
+    oracle = gradcheck._value_only
+
+    def counted(prm, x, h_prev, gate_frozen):
+        calls.append(len(np.atleast_1d(prm["out_b"])))
+        return oracle(prm, x, h_prev, gate_frozen)
+
+    monkeypatch.setattr(gradcheck, "_value_only", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", ["one block", "one row over", "one row"])
+def test_blocked_fd_matches_per_segment_reference(monkeypatch, rows):
+    calls = _count_oracle_calls(monkeypatch)
+    for net, x, h_prev in _cases(25, 30):
+        P = net.count_parameters()
+        budget = {"one block": 2 * P * 8 * P,
+                  "one row over": (2 * P - 1) * 8 * P,
+                  "one row": 1}[rows]
+        blocks = {"one block": [2 * P], "one row over": [2 * P - 1, 1],
+                  "one row": [1] * (2 * P)}[rows]
+        monkeypatch.setattr(gradcheck, "FD_BLOCK_BYTES", budget)
+        calls.clear()
+        jp = fd_jacobian_params(net, x, h_prev)
+        assert calls == blocks
+        assert jp.shape == (P,)
+        ref = _per_segment_fd_params(net, x, h_prev)
+        assert np.max(np.abs(jp - ref)) <= FD_TOL
+
+
+def test_default_block_budget_bounds_rows_and_peak_memory(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(26))
+    net = random_net(3, 8, 8, rng)
+    x, h_prev = rng.uniform(-1.5, 1.5, size=3), rng.uniform(-0.5, 0.5, size=8)
+    P = net.count_parameters()
+    calls = _count_oracle_calls(monkeypatch)
+    fd_jacobian_params(net, x, h_prev)
+    assert max(calls) * P * 8 <= gradcheck.FD_BLOCK_BYTES
+    assert sum(calls) == 2 * P and len(calls) == math.ceil(
+        2 * P / (gradcheck.FD_BLOCK_BYTES // (8 * P)))
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        fd_jacobian_params(net, x, h_prev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_batched_values_match_scalar_reference_per_perturbation():

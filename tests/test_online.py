@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tgrbf import online
-from tgrbf.network import random_net
+from tgrbf.network import _ONLINE, _SEGMENTS, random_net
 from tgrbf.offline import Sample
 
 
@@ -316,6 +316,38 @@ def test_update_respects_offline_mask():
     assert not np.array_equal(after[mask], before[mask])
     # priorities of the evaluated samples were refreshed to |residual|
     assert any(s.err_priority > 0.0 for s in buf.entries)
+
+
+def test_online_segments_are_a_prefix_of_the_layout():
+    """The update reads and writes the online parameters, and slices their
+    Jacobian columns, as the leading segments of the flat vector."""
+    assert _SEGMENTS[:len(_ONLINE)] == _ONLINE
+    assert all(flag for _, flag in _ONLINE)
+    assert not any(flag for _, flag in _SEGMENTS[len(_ONLINE):])
+    rng = np.random.Generator(np.random.PCG64(3))
+    for seed, (m, p) in enumerate(((1, 1), (3, 2), (6, 6), (8, 8))):
+        net = _net(seed, m, p)
+        mask = net.online_mask()
+        n = int(mask.sum())
+        assert mask[:n].all() and not mask[n:].any()
+        W = net.to_vector()
+        assert net._vector(_ONLINE).tobytes() == W[:n].tobytes()
+        # loading the prefix is the masked round trip through from_vector
+        new = W[:n] + rng.normal(size=n)
+        ref = net.copy()
+        W_ref = W.copy()
+        W_ref[mask] = new
+        ref.from_vector(W_ref)
+        net._load(new, _ONLINE)
+        assert net.to_vector().tobytes() == ref.to_vector().tobytes()
+        assert isinstance(net.gate_b, float) and isinstance(net.out_b, float)
+        # the sliced Jacobian is the masked one, bit for bit and row-major
+        batch = [Sample(x=rng.uniform(-1.0, 1.0, size=3),
+                        target=float(rng.normal())) for _ in range(5)]
+        _, J = online.residuals_and_jacobian(net, batch)
+        _, trace = online._replay(net, batch)
+        J_ref = -np.compress(mask, net.jacobian_params(trace), axis=1)
+        assert J.flags.c_contiguous and J.tobytes() == J_ref.tobytes()
 
 
 def test_optimizer_cooldown_and_event_log():
