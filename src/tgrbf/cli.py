@@ -12,29 +12,21 @@ Exit codes: 0 success, 2 validation failure, 3 aborted run.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
 from . import harness, offline
 from .gradcheck import gradient_audit
-from .network import TgrbfNet
 
 EXIT_OK, EXIT_VALIDATION, EXIT_ABORTED = 0, 2, 3
 
 
-def _load_cfg(path: str) -> harness.ScenarioConfig:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    return harness.load_config(path)
-
-
 def cmd_identify(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
+        doc = harness._check_keys("identify", json.load(fh),
+                                  {"n_samples", "epochs", "m", "p", "seed"})
     n = int(doc.get("n_samples", 1000))
     epochs = int(doc.get("epochs", 200))
     m = int(doc.get("m", 6))
@@ -49,21 +41,19 @@ def cmd_identify(args) -> int:
     ckpt = os.path.join(args.out, "network.json")
     net.save(ckpt)
     offline.dataset_to_csv(data, os.path.join(args.out, "dataset.csv"))
-    with open(os.path.join(args.out, "fit_report.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for name in ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2"):
-            w.writerow([name, f"{getattr(report, name):.17g}"])
-        # reference: the persistence predictor y_hat = y_prev on the holdout
-        hold = data.holdout()
-        persistence = offline.fit_metrics([s.x[1] for s in hold],
-                                          [s.target for s in hold])
-        w.writerow(["persistence_mse", f"{persistence.mse:.17g}"])
-        # every value parses with float(): nan when training did not halt
-        halted = report.halted_epoch
-        w.writerow(["halted_epoch", "nan" if halted is None else halted])
-        for i, loss in enumerate(report.loss_curve):
-            w.writerow([f"epoch_{i}_loss", f"{loss:.17g}"])
+    # reference: the persistence predictor y_hat = y_prev on the holdout
+    hold = data.holdout()
+    persistence = offline.fit_metrics([s.x[1] for s in hold],
+                                      [s.target for s in hold])
+    # every value parses with float(): nan when training did not halt
+    halted = report.halted_epoch
+    harness._write_csv(
+        os.path.join(args.out, "fit_report.csv"), ["metric", "value"],
+        [*((name, getattr(report, name)) for name in
+           ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2")),
+         ("persistence_mse", persistence.mse),
+         ("halted_epoch", math.nan if halted is None else halted),
+         *((f"epoch_{i}_loss", loss) for i, loss in enumerate(report.loss_curve))])
     print(f"checkpoint written to {ckpt}")
     print(f"holdout mse={report.mse:.6g} rmse={report.rmse:.6g} "
           f"mae={report.mae:.6g} r2={report.r2:.6g}")
@@ -71,7 +61,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = harness.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.controller is not None:
@@ -93,27 +83,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = harness.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     results = harness.compare_controllers(cfg)
     os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for name, (trace, metrics) in results.items():
+        if trace is None:
+            rows.append([name] + ["nan"] * 6 + [1])
+            continue
+        harness.export_trace_csv(
+            trace, os.path.join(args.out, f"trace_{name}.csv"))
+        rows.append([name, metrics.iae, metrics.ise, metrics.itae,
+                     metrics.overshoot_pct, metrics.settling_time_s,
+                     int(metrics.settled), 0])
     table_path = os.path.join(args.out, "comparison.csv")
-    with open(table_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["controller", "iae", "ise", "itae", "overshoot_pct",
-                    "settling_time_s", "settled", "aborted"])
-        for name, (trace, metrics) in results.items():
-            if trace is None:
-                w.writerow([name] + ["nan"] * 6 + [1])
-                continue
-            harness.export_trace_csv(
-                trace, os.path.join(args.out, f"trace_{name}.csv"))
-            w.writerow([name, f"{metrics.iae:.17g}", f"{metrics.ise:.17g}",
-                        f"{metrics.itae:.17g}",
-                        f"{metrics.overshoot_pct:.17g}",
-                        f"{metrics.settling_time_s:.17g}",
-                        int(metrics.settled), 0])
+    harness._write_csv(table_path, ["controller", "iae", "ise", "itae",
+                                    "overshoot_pct", "settling_time_s",
+                                    "settled", "aborted"], rows)
     print(f"comparison table written to {table_path}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from . import plant as pl
 
 __all__ = [
     "GainState", "PidState", "sig_alpha", "control_law", "adapt_gains",
-    "stability_gain_floor", "pid_step", "tune_pid_relay_zn",
+    "pid_step", "tune_pid_relay_zn",
 ]
 
 
@@ -42,16 +42,12 @@ class GainState:
     k1_max: float = 50.0
     k2_min: float = 0.01
     k2_max: float = 50.0
-    k1_prev: float = field(default=None)
-    k2_prev: float = field(default=None)
 
     def __post_init__(self):
         if not (0.0 < self.alpha_pow < 1.0):
             raise ValueError("alpha_pow must be in (0, 1)")
-        if self.k1_prev is None:
-            self.k1_prev = self.k1
-        if self.k2_prev is None:
-            self.k2_prev = self.k2
+        if self.k1_min > self.k1_max or self.k2_min > self.k2_max:
+            raise ValueError("gain bounds need k_min <= k_max")
 
 
 def control_law(e: float, g: GainState, u_limit: float = 10.0) -> float:
@@ -73,18 +69,7 @@ def adapt_gains(g: GainState, e: float, dym_du: float) -> GainState:
     k2 = g.k2 + g.eta2 * e * sig_alpha(e, g.alpha_pow) * dym_du
     k1 = min(max(k1, g.k1_min), g.k1_max)
     k2 = min(max(k2, g.k2_min), g.k2_max)
-    return replace(g, k1=k1, k2=k2, k1_prev=g.k1, k2_prev=g.k2)
-
-
-def stability_gain_floor(L_u: float, dym_du: float | None = None):
-    """Operating-condition diagnostics: the k1 lower bound
-    (1 + sqrt(1 + 2 L_u^2)) / (2 L_u) and, given the current model
-    sensitivity, the learning-rate caps 2 / dym_du^2."""
-    if L_u <= 0.0:
-        raise ValueError("L_u must be positive")
-    k1_floor = (1.0 + math.sqrt(1.0 + 2.0 * L_u * L_u)) / (2.0 * L_u)
-    eta_cap = math.inf if not dym_du else 2.0 / (dym_du * dym_du)
-    return k1_floor, eta_cap
+    return replace(g, k1=k1, k2=k2)
 
 
 @dataclass
@@ -92,8 +77,9 @@ class PidState:
     kp: float = 1.0
     ki: float = 0.0
     kd: float = 0.0
-    integral: float = 0.0
-    e_prev: float = 0.0
+    # run state, carried between pid_step calls; not a config key
+    integral: float = field(default=0.0, metadata={"run_state": True})
+    e_prev: float = field(default=0.0, metadata={"run_state": True})
     integral_limit: float = 100.0   # anti-windup clamp on the raw integral
 
 

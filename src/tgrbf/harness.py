@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,74 +76,45 @@ class ScenarioConfig:
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-_SCHEMA = {
-    "plant": {"T", "K", "Ts", "input_delay"},
-    "disturbance": {"noise_std", "sine_amp", "sine_freq_hz", "seed"},
-    "reference": {"kind", "amplitude", "freq_hz", "step_time_s"},
-    "controller": {"type", "u_limit", "control_sign"},
-    "gains": {"k1", "k2", "alpha_pow", "eta1", "eta2",
-              "k1_min", "k1_max", "k2_min", "k2_max"},
-    "pid": {"kp", "ki", "kd", "integral_limit"},
-    "network": {"checkpoint", "buffer_capacity", "trigger"},
-    "trigger": {"delta", "batch_s", "momentum_alpha", "eta_max",
-                "cooldown_steps"},
-    "top": {"plant", "disturbance", "reference", "controller", "gains",
-            "nc_gains", "pid", "network", "duration_s", "seed"},
-}
+# config section -> the dataclass it builds; "trigger" sits inside "network"
+_SECTIONS = {"plant": pl.PlantParams, "disturbance": pl.DisturbanceSpec,
+             "reference": pl.ReferenceSpec, "gains": ctl.GainState,
+             "nc_gains": ctl.GainState, "pid": ctl.PidState,
+             "trigger": TriggerConfig}
 
 
-def _check_keys(section: str, d: dict) -> None:
-    unknown = set(d) - _SCHEMA[section]
+def _check_keys(section: str, d: dict, accepted) -> dict:
+    unknown = set(d) - set(accepted)
     if unknown:
         raise ValueError(f"unknown keys in '{section}' config: {sorted(unknown)}")
+    return d
+
+
+def _config_keys(cls) -> set[str]:
+    """A dataclass's fields, less those marked as run state."""
+    return {f.name for f in fields(cls) if not f.metadata.get("run_state")}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, rejecting
     unknown keys."""
-    _check_keys("top", doc)
-    kw: dict = {"raw": doc}
-    if "plant" in doc:
-        _check_keys("plant", doc["plant"])
-        kw["plant"] = pl.PlantParams(**doc["plant"])
-    if "disturbance" in doc:
-        _check_keys("disturbance", doc["disturbance"])
-        kw["disturbance"] = pl.DisturbanceSpec(**doc["disturbance"])
-    if "reference" in doc:
-        _check_keys("reference", doc["reference"])
-        kw["reference"] = pl.ReferenceSpec(**doc["reference"])
-    if "controller" in doc:
-        _check_keys("controller", doc["controller"])
-        c = doc["controller"]
-        if "type" in c:
-            kw["controller"] = c["type"]
-        if "u_limit" in c:
-            kw["u_limit"] = float(c["u_limit"])
-        if "control_sign" in c:
-            kw["control_sign"] = float(c["control_sign"])
-    if "gains" in doc:
-        _check_keys("gains", doc["gains"])
-        kw["gains"] = ctl.GainState(**doc["gains"])
-    if "nc_gains" in doc:
-        _check_keys("gains", doc["nc_gains"])
-        kw["nc_gains"] = ctl.GainState(**doc["nc_gains"])
-    if "pid" in doc:
-        _check_keys("pid", doc["pid"])
-        kw["pid"] = ctl.PidState(**doc["pid"])
-    if "network" in doc:
-        _check_keys("network", doc["network"])
-        n = doc["network"]
-        kw["checkpoint"] = n.get("checkpoint")
-        if "buffer_capacity" in n:
-            kw["buffer_capacity"] = int(n["buffer_capacity"])
-        if "trigger" in n:
-            _check_keys("trigger", n["trigger"])
-            kw["trigger"] = TriggerConfig(**n["trigger"])
-    if "duration_s" in doc:
-        kw["duration_s"] = float(doc["duration_s"])
-    if "seed" in doc:
-        kw["seed"] = int(doc["seed"])
-    return ScenarioConfig(**kw)
+    _check_keys("top", doc, {*_SECTIONS, "controller", "network",
+                             "duration_s", "seed"} - {"trigger"})
+    c = _check_keys("controller", doc.get("controller", {}),
+                    {"type", "u_limit", "control_sign"})
+    n = _check_keys("network", doc.get("network", {}),
+                    {"checkpoint", "buffer_capacity", "trigger"})
+    found = {**doc, **n}   # every section, "trigger" included
+    kw = {name: cls(**_check_keys(name, found[name], _config_keys(cls)))
+          for name, cls in _SECTIONS.items() if name in found}
+    if "type" in c:
+        kw["controller"] = c["type"]
+    for key, conv, src in (("u_limit", float, c), ("control_sign", float, c),
+                           ("buffer_capacity", int, n),
+                           ("duration_s", float, doc), ("seed", int, doc)):
+        if key in src:
+            kw[key] = conv(src[key])
+    return ScenarioConfig(checkpoint=n.get("checkpoint"), raw=doc, **kw)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -259,15 +230,15 @@ def run_scenario(cfg: ScenarioConfig,
                   "controller": cfg.controller},
         events=opt.events if opt is not None else [],
     )
-    return trace, compute_metrics(trace, cfg.reference)
+    return trace, compute_metrics(trace, cfg.reference, cfg.plant.Ts)
 
 
-def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec) -> MetricsReport:
-    """IAE/ISE/ITAE for every run; overshoot and 2%-criterion settling time
-    for step references only."""
+def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
+                    Ts: float) -> MetricsReport:
+    """IAE/ISE/ITAE (sums times the sample time Ts) for every run; overshoot
+    and 2%-criterion settling time for step references only."""
     if trace.data.shape[0] == 0:
         return MetricsReport()
-    Ts = float(trace.col("t")[1] - trace.col("t")[0]) if trace.data.shape[0] > 1 else 1.0
     t = trace.col("t")
     e = trace.col("e")
     y = trace.col("y")
@@ -310,10 +281,6 @@ def compare_controllers(cfg: ScenarioConfig,
     return out
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def export_trace_csv(trace: RunTrace, path) -> None:
     """Values as %.17g, CRLF line ends (the csv module's bytes for these
     unquoted fields), streamed row by row, never built whole in memory."""
@@ -323,23 +290,24 @@ def export_trace_csv(trace: RunTrace, path) -> None:
         fh.writelines(line % tuple(row.tolist()) for row in trace.data)
 
 
-def export_metrics_csv(rep: MetricsReport, path) -> None:
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV table; floats as %.17g (exact round trip), other values as the
+    csv module writes them."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for name, val in rep.as_rows():
-            w.writerow([name, _fmt(val)])
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def export_metrics_csv(rep: MetricsReport, path) -> None:
+    _write_csv(path, ["metric", "value"], rep.as_rows())
 
 
 def export_events_csv(events: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "eta", "eta_explicit", "sigma_min", "sigma_max",
-                    "loss_before", "loss_after", "grad_norm", "safeguard",
-                    "rejected"])
-        for ev in events:
-            w.writerow([ev.k, _fmt(ev.eta), _fmt(ev.eta_explicit),
-                        _fmt(ev.sigma_min), _fmt(ev.sigma_max),
-                        _fmt(ev.loss_before), _fmt(ev.loss_after),
-                        _fmt(ev.grad_norm), int(ev.safeguard_hit),
-                        int(ev.rejected)])
+    _write_csv(path, ["k", "eta", "eta_explicit", "sigma_min", "sigma_max",
+                      "loss_before", "loss_after", "grad_norm", "safeguard",
+                      "rejected"],
+               ([ev.k, ev.eta, ev.eta_explicit, ev.sigma_min, ev.sigma_max,
+                 ev.loss_before, ev.loss_after, ev.grad_norm,
+                 int(ev.safeguard_hit), int(ev.rejected)] for ev in events))

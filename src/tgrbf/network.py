@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "TgrbfNet",
     "ForwardTrace",
-    "rbf_kernel",
     "rbf_forward",
     "lgru_step",
     "gate_value",
@@ -47,18 +46,6 @@ def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
 
 
-def rbf_kernel(x: np.ndarray, center: np.ndarray, width: float) -> float:
-    """Gaussian kernel exp(-||x - center||^2 / (2 width^2))."""
-    if width <= 0.0:
-        raise ValueError(f"kernel width must be positive, got {width}")
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if x.shape != center.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs center {center.shape}")
-    d2 = float(np.sum((x - center) ** 2))
-    return float(np.exp(-d2 / (2.0 * width * width)))
-
-
 def rbf_forward(x, centers, widths, weights):
     """Evaluate the RBF branch.  Returns (y_rbf, phi).
 
@@ -76,8 +63,9 @@ def rbf_forward(x, centers, widths, weights):
     return _item(phi @ weights), phi
 
 
-def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
-    """One linearized-GRU step.  Returns (h_next, y_gru, intermediates).
+def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h):
+    """One linearized-GRU step.  Returns h_next and the intermediates
+    (zeta, pre_z, pre_r, z, r, xi, n) that the Jacobians reuse.
 
     pre_z/pre_r are the affine pre-activations; z and r are their hard
     clamps to [0, 1].  The candidate state n is affine in [x; r*h_prev].
@@ -91,10 +79,7 @@ def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
     xi = np.concatenate([x, r * h_prev], axis=-1)
     n = xi @ W_h.T + b_h
     h_next = (1.0 - z) * h_prev + z * n
-    y_gru = _item(h_next @ out_w + out_b)
-    inter = {"zeta": zeta, "pre_z": pre_z, "pre_r": pre_r, "z": z, "r": r,
-             "xi": xi, "n": n}
-    return h_next, y_gru, inter
+    return h_next, zeta, pre_z, pre_r, z, r, xi, n
 
 
 def gate_value(x, h_prev, gate_w, gate_b):
@@ -147,6 +132,9 @@ _SEGMENTS = [
 ]
 # The online segments lead, so the online set is a prefix of the flat vector.
 _ONLINE = [seg for seg in _SEGMENTS if seg[1]]
+# Segments held as a Python float on the network, as a length-1 array in
+# the flat vector and the checkpoint.
+_SCALARS = ("gate_b", "out_b")
 
 
 @dataclass
@@ -181,11 +169,8 @@ class TgrbfNet:
             raise ValueError("need at least one RBF node")
         if np.any(self.widths <= 0.0):
             raise ValueError("all kernel widths must be positive")
-        if not all(np.all(np.isfinite(np.asarray(v, dtype=float)))
-                   for v in (self.centers, self.widths, self.rbf_w, self.W_z,
-                             self.b_z, self.W_r, self.b_r, self.W_h, self.b_h,
-                             self.gate_w, self.gate_b, self.out_w, self.out_b,
-                             self.h_init)):
+        if not all(np.isfinite(np.asarray(v, dtype=float)).all()
+                   for v in (*self._segment_arrays().values(), self.h_init)):
             raise ValueError("network parameters must be finite")
 
     # -- dimensions ---------------------------------------------------------
@@ -203,21 +188,13 @@ class TgrbfNet:
         return self.h_init.shape[0]
 
     def count_parameters(self) -> int:
-        m, p, n = self.m, self.p, self.n_in
-        return m * n + 2 * m + 3 * (p * (n + p) + p) + (p + 1) + (n + p + 1)
+        return sum(a.size for a in self._segment_arrays().values())
 
     # -- forward ------------------------------------------------------------
 
     def reset(self) -> None:
         """Reset the hidden state for a new independent sequence."""
         self.h = self.h_init.copy()
-
-    def gate(self, x, h_prev=None) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.gate_frozen:
-            return _item(np.ones(x.shape[:-1]))
-        h_prev = self.h if h_prev is None else h_prev
-        return gate_value(x, h_prev, self.gate_w, self.gate_b)
 
     def _inputs(self, x, h_prev) -> tuple[np.ndarray, np.ndarray]:
         """Checked float input and its hidden state, broadcast for a batch."""
@@ -241,16 +218,18 @@ class TgrbfNet:
         array and every trace field carries the batch axis."""
         x, h_prev = self._inputs(x, h_prev)
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
-        h_next, y_gru, it = lgru_step(x, h_prev, self.W_z, self.b_z,
-                                      self.W_r, self.b_r, self.W_h, self.b_h,
-                                      self.out_w, self.out_b)
-        g = self.gate(x, h_prev)
+        h_next, zeta, pre_z, pre_r, z, r, xi, n = lgru_step(
+            x, h_prev, self.W_z, self.b_z, self.W_r, self.b_r, self.W_h, self.b_h)
+        y_gru = _item(h_next @ self.out_w + self.out_b)
+        if self.gate_frozen:
+            g = _item(np.ones(x.shape[:-1]))
+        else:
+            g = gate_value(x, h_prev, self.gate_w, self.gate_b)
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
-                             pre_z=it["pre_z"], pre_r=it["pre_r"],
-                             z=it["z"], r=it["r"], n=it["n"], h_next=h_next,
-                             y_gru=y_gru, g=g, y=y,
-                             zeta=it["zeta"], xi=it["xi"])
+                             pre_z=pre_z, pre_r=pre_r, z=z, r=r, n=n,
+                             h_next=h_next, y_gru=y_gru, g=g, y=y,
+                             zeta=zeta, xi=xi)
         return y, trace
 
     def advance(self, x) -> tuple[float, ForwardTrace]:
@@ -334,14 +313,11 @@ class TgrbfNet:
     # -- flat parameter vector ----------------------------------------------
 
     def _segment_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "rbf_w": self.rbf_w, "centers": self.centers,
-            "W_z": self.W_z, "W_r": self.W_r, "W_h": self.W_h,
-            "gate_w": self.gate_w, "gate_b": np.atleast_1d(self.gate_b),
-            "out_w": self.out_w, "out_b": np.atleast_1d(self.out_b),
-            "widths": self.widths, "b_z": self.b_z, "b_r": self.b_r,
-            "b_h": self.b_h,
-        }
+        """Every segment as an array, in layout order (scalars as (1,))."""
+        arrs = {name: getattr(self, name) for name, _ in _SEGMENTS}
+        for name in _SCALARS:
+            arrs[name] = np.atleast_1d(arrs[name])
+        return arrs
 
     def layout(self) -> list[tuple[str, int, int]]:
         """Ordered (name, offset, length) for every parameter segment."""
@@ -378,12 +354,7 @@ class TgrbfNet:
             arr = arrs[name]
             chunk = vec[off:off + arr.size].reshape(arr.shape)
             off += arr.size
-            if name == "gate_b":
-                self.gate_b = float(chunk[0])
-            elif name == "out_b":
-                self.out_b = float(chunk[0])
-            else:
-                setattr(self, name, chunk.copy())
+            setattr(self, name, float(chunk[0]) if name in _SCALARS else chunk.copy())
 
     def online_mask(self) -> np.ndarray:
         """Boolean mask over the flat vector selecting the online-updated
@@ -417,16 +388,12 @@ class TgrbfNet:
             doc = json.load(fh)
         if doc.get("format") != "tgrbf-checkpoint-v1":
             raise ValueError(f"not a network checkpoint: {path}")
-        seg = {k: np.asarray(v, dtype=float) for k, v in doc["segments"].items()}
-        return cls(
-            centers=seg["centers"], widths=seg["widths"], rbf_w=seg["rbf_w"],
-            W_z=seg["W_z"], b_z=seg["b_z"], W_r=seg["W_r"], b_r=seg["b_r"],
-            W_h=seg["W_h"], b_h=seg["b_h"],
-            gate_w=seg["gate_w"], gate_b=float(seg["gate_b"][0]),
-            out_w=seg["out_w"], out_b=float(seg["out_b"][0]),
-            h_init=np.asarray(doc["h_init"], dtype=float),
-            gate_frozen=bool(doc.get("gate_frozen", False)),
-        )
+        seg = {name: np.asarray(doc["segments"][name], dtype=float)
+               for name, _ in _SEGMENTS}
+        for name in _SCALARS:
+            seg[name] = float(seg[name][0])
+        return cls(**seg, h_init=np.asarray(doc["h_init"], dtype=float),
+                   gate_frozen=bool(doc.get("gate_frozen", False)))
 
 
 def random_net(n_in: int, m: int, p: int, rng: np.random.Generator,

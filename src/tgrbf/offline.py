@@ -103,7 +103,7 @@ def generate_dataset(n: int, excitation: str = "pwc",
     samples = []
     for k in range(n):
         w = noise_std * rng.standard_normal() if noise_std > 0.0 else 0.0
-        state = pl.nominal_step(state, float(u[k]), w, params)
+        state = pl.plant_step(state, float(u[k]), w, params)
         y_k = pl.output(state, params)
         samples.append(Sample(x=np.array([u[k], y_prev, y_k]), target=y_k))
         y_prev = y_k
@@ -164,7 +164,7 @@ def _sequence_forward(net: TgrbfNet, X: np.ndarray):
     H[:1] = net.h_init
     for i in range(1, len(X)):
         H[i] = lgru_step(X[i - 1], H[i - 1], net.W_z, net.b_z, net.W_r,
-                         net.b_r, net.W_h, net.b_h, net.out_w, net.out_b)[0]
+                         net.b_r, net.W_h, net.b_h)[0]
     return net.forward(X, h_prev=H)
 
 

@@ -45,6 +45,10 @@ class TriggerConfig:
             raise ValueError("batch_s must be >= 1")
         if not (0.0 <= self.momentum_alpha < 1.0):
             raise ValueError("momentum_alpha must be in [0, 1)")
+        if not self.eta_max > 0.0:
+            raise ValueError("eta_max must be > 0")
+        if self.cooldown_steps < 0:
+            raise ValueError("cooldown_steps must be >= 0")
 
 
 @dataclass
@@ -127,7 +131,7 @@ def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
     after forward's input checks.  x is (n_in,) or a stacked (s, n_in)."""
     x, h_init = net._inputs(x, net.h_init)
     return lgru_step(x, h_init, net.W_z, net.b_z, net.W_r, net.b_r,
-                     net.W_h, net.b_h, net.out_w, net.out_b)[0]
+                     net.W_h, net.b_h)[0]
 
 
 def _replay(net, batch):

@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "PlantParams", "PlantState", "DisturbanceSpec", "ReferenceSpec",
     "TRUE_PLANT", "NOMINAL_PLANT",
-    "make_state", "plant_step", "nominal_step",
+    "make_state", "plant_step",
     "disturbance_at", "make_noise_stream", "reference_at",
 ]
 
@@ -51,13 +51,12 @@ NOMINAL_PLANT = PlantParams(T=2.0, K=2.0)
 class PlantState:
     x1: float = 0.0
     x2: float = 0.0
-    u_queue: list = field(default_factory=list)  # pending inputs, len n_d + 1
-    k: int = 0
+    u_queue: list = field(default_factory=list)  # pending inputs, len n_d
 
 
 def make_state(p: PlantParams) -> PlantState:
     """Zero initial state with an empty (zero) delay queue."""
-    return PlantState(0.0, 0.0, [0.0] * p.input_delay, 0)
+    return PlantState(0.0, 0.0, [0.0] * p.input_delay)
 
 
 def output(state: PlantState, p: PlantParams) -> float:
@@ -73,14 +72,7 @@ def plant_step(state: PlantState, u: float, d: float, p: PlantParams) -> PlantSt
     x1 = state.x1 + p.Ts * state.x2
     rate = (1.0 / p.T) * (-2.0 * state.x2 - math.sin(state.x1) + u_eff) + d
     x2 = state.x2 + p.Ts * rate
-    return PlantState(x1, x2, queue, state.k + 1)
-
-
-def nominal_step(state: PlantState, u: float, w: float,
-                 p: PlantParams = NOMINAL_PLANT) -> PlantState:
-    """Idealized simulation model: same dynamics, nominal parameters,
-    white noise w in place of the structured disturbance."""
-    return plant_step(state, u, w, p)
+    return PlantState(x1, x2, queue)
 
 
 @dataclass(frozen=True)

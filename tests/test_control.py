@@ -41,19 +41,26 @@ def test_control_law_actuator_clamp():
     assert ctl.control_law(-5.0, g, u_limit=10.0) == -10.0
 
 
-def test_gain_state_validation_and_prev_defaults():
+def test_gain_state_validation():
     with pytest.raises(ValueError):
         ctl.GainState(alpha_pow=1.0)
-    g = ctl.GainState(k1=1.1, k2=2.2)
-    assert g.k1_prev == 1.1
-    assert g.k2_prev == 2.2
+    ctl.GainState(k1_min=1.0, k1_max=1.0, k2_min=2.0, k2_max=2.0)
+
+
+def test_gain_state_rejects_k1_bounds_out_of_order():
+    with pytest.raises(ValueError):
+        ctl.GainState(k1_min=2.0, k1_max=1.0)
+
+
+def test_gain_state_rejects_k2_bounds_out_of_order():
+    with pytest.raises(ValueError):
+        ctl.GainState(k2_min=2.0, k2_max=1.0)
 
 
 def test_adapt_gains_hand_value():
     g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7, eta1=0.1, eta2=0.0)
     g2 = ctl.adapt_gains(g, 0.5, 2.0)
     assert g2.k1 == pytest.approx(1.55)
-    assert g2.k1_prev == 1.5
 
 
 def test_adapt_gains_zero_error_fixed_point():
@@ -84,22 +91,6 @@ def test_adapt_gains_projection_onto_bounds():
 def test_adapt_gains_skips_nonfinite_sensitivity():
     g = ctl.GainState()
     assert ctl.adapt_gains(g, 1.0, math.nan) is g
-
-
-def test_stability_gain_floor_values():
-    floor, cap = ctl.stability_gain_floor(1.0, 1.0)
-    assert floor == pytest.approx((1.0 + math.sqrt(3.0)) / 2.0)
-    assert cap == pytest.approx(2.0)
-    # the floor decays monotonically toward sqrt(2)/2 for large L_u
-    prev = math.inf
-    for L in (1.0, 3.0, 10.0, 100.0):
-        f, _ = ctl.stability_gain_floor(L)
-        assert math.sqrt(2.0) / 2.0 < f < prev
-        prev = f
-    _, cap_inf = ctl.stability_gain_floor(1.0, None)
-    assert cap_inf == math.inf
-    with pytest.raises(ValueError):
-        ctl.stability_gain_floor(0.0)
 
 
 def test_pid_pure_proportional():

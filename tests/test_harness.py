@@ -76,7 +76,7 @@ def _make_trace(t, r, y):
 def test_metrics_zero_error():
     t = np.arange(10) * 0.001
     rep = harness.compute_metrics(_make_trace(t, np.ones(10), np.ones(10)),
-                                  pl.ReferenceSpec(kind="step", amplitude=1.0))
+                                  pl.ReferenceSpec(kind="step", amplitude=1.0), 0.001)
     assert rep.iae == rep.ise == rep.itae == 0.0
     assert rep.settled and rep.settling_time_s == 0.0
     assert rep.overshoot_pct == 0.0
@@ -86,7 +86,7 @@ def test_metrics_constant_error_closed_forms():
     N, Ts = 50, 0.001
     t = np.arange(N) * Ts
     rep = harness.compute_metrics(_make_trace(t, np.ones(N), np.zeros(N)),
-                                  pl.ReferenceSpec(kind="sine"))
+                                  pl.ReferenceSpec(kind="sine"), Ts)
     assert rep.iae == pytest.approx(N * Ts)
     assert rep.ise == pytest.approx(N * Ts)
     assert rep.itae == pytest.approx(Ts * float(t.sum()))
@@ -101,7 +101,7 @@ def test_metrics_overshoot_and_settling():
     y[:10] = np.linspace(0.0, 1.0, 10)
     y[20] = 1.25
     rep = harness.compute_metrics(_make_trace(t, np.ones(100), y),
-                                  pl.ReferenceSpec(kind="step", amplitude=1.0))
+                                  pl.ReferenceSpec(kind="step", amplitude=1.0), 0.001)
     assert rep.overshoot_pct == pytest.approx(25.0)
     assert rep.settled
     # last excursion outside the 2% band is the overshoot spike at index 20
@@ -111,7 +111,7 @@ def test_metrics_overshoot_and_settling():
 def test_metrics_zero_final_reference_flagged():
     t = np.arange(10) * 0.001
     rep = harness.compute_metrics(_make_trace(t, np.zeros(10), np.zeros(10)),
-                                  pl.ReferenceSpec(kind="step", amplitude=0.0))
+                                  pl.ReferenceSpec(kind="step", amplitude=0.0), 0.001)
     assert math.isnan(rep.overshoot_pct)
 
 
@@ -119,8 +119,18 @@ def test_metrics_empty_trace():
     rep = harness.compute_metrics(
         harness.RunTrace(data=np.zeros((0, len(harness.TRACE_COLUMNS))),
                          metadata={}),
-        pl.ReferenceSpec())
+        pl.ReferenceSpec(), 0.001)
     assert rep.iae == 0.0 and rep.update_count == 0
+
+
+def test_metrics_one_step_run_uses_the_sample_time():
+    # one row gives no time difference to read Ts from: it is passed in
+    trace, rep = harness.run_scenario(_pid_cfg(duration_s=0.001))
+    assert trace.data.shape[0] == 1
+    assert rep.iae == pytest.approx(1e-3, rel=1e-15)
+    assert rep.ise == pytest.approx(1e-3, rel=1e-15)
+    rep = harness.compute_metrics(trace, pl.ReferenceSpec(), 0.5)
+    assert rep.iae == 0.5
 
 
 # -- run engine --------------------------------------------------------------
@@ -207,6 +217,15 @@ def test_cli_unknown_key_in_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"duratoin_s": 1.0}))
     assert cli.main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_identify_unknown_key_exit_2(tmp_path):
+    # a typo must not fall back to the default (200 epochs) silently
+    bad = tmp_path / "identify.json"
+    bad.write_text(json.dumps({"n_samples": 50, "epoch": 5}))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_run_pid_scenario(tmp_path):

@@ -3,29 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from tgrbf.network import (TgrbfNet, gate_value, lgru_step, random_net,
-                           rbf_forward, rbf_kernel, sigmoid)
+from tgrbf.network import TgrbfNet, gate_value, random_net, rbf_forward, sigmoid
+
+
+def _kernel(x, center, width):
+    """The one-node kernel value phi of rbf_forward."""
+    return float(rbf_forward(x, [center], [width], [1.0])[1][0])
 
 
 def test_rbf_kernel_unit_distance():
-    assert rbf_kernel([1.0, 0.0], [0.0, 0.0], 1.0) == pytest.approx(math.exp(-0.5))
+    assert _kernel([1.0, 0.0], [0.0, 0.0], 1.0) == pytest.approx(math.exp(-0.5))
 
 
 def test_rbf_kernel_distance_sqrt2():
-    assert rbf_kernel([1.0, 1.0], [0.0, 0.0], 1.0) == pytest.approx(math.exp(-1.0))
+    assert _kernel([1.0, 1.0], [0.0, 0.0], 1.0) == pytest.approx(math.exp(-1.0))
 
 
 def test_rbf_kernel_at_center_is_one():
-    assert rbf_kernel([0.3, -0.7], [0.3, -0.7], 0.5) == pytest.approx(1.0)
+    assert _kernel([0.3, -0.7], [0.3, -0.7], 0.5) == pytest.approx(1.0)
 
 
 def test_rbf_kernel_rejects_bad_width_and_shape():
     with pytest.raises(ValueError):
-        rbf_kernel([0.0], [0.0], 0.0)
+        _kernel([0.0], [0.0], 0.0)
     with pytest.raises(ValueError):
-        rbf_kernel([0.0], [0.0], -1.0)
+        _kernel([0.0], [0.0], -1.0)
     with pytest.raises(ValueError):
-        rbf_kernel([0.0, 1.0], [0.0], 1.0)
+        _kernel([0.0, 1.0], [0.0], 1.0)
 
 
 def test_rbf_forward_weighted_sum():
@@ -43,30 +47,37 @@ def test_rbf_forward_validation():
         rbf_forward([1.0], [[0.0]], [0.0], [1.0])
 
 
+def _lgru_net(n_in, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
+    """A network whose LGRU branch has the given weights (one RBF node)."""
+    p = len(b_z)
+    return TgrbfNet(centers=np.zeros((1, n_in)), widths=np.ones(1),
+                    rbf_w=np.zeros(1), W_z=W_z, b_z=b_z, W_r=W_r, b_r=b_r,
+                    W_h=W_h, b_h=b_h, gate_w=np.zeros(n_in + p), gate_b=0.0,
+                    out_w=out_w, out_b=out_b, h_init=np.zeros(p))
+
+
 def test_lgru_hand_example():
     ones = np.ones((1, 4))
     zero = np.zeros(1)
-    h_next, y_gru, inter = lgru_step(
-        np.array([0.2, 0.0, 0.0]), np.array([0.5]),
-        ones, zero, ones, zero, ones, zero, np.array([1.0]), 0.0)
-    assert inter["z"][0] == pytest.approx(0.7)
-    assert inter["r"][0] == pytest.approx(0.7)
-    assert inter["n"][0] == pytest.approx(0.55)
-    assert h_next[0] == pytest.approx(0.535)
-    assert y_gru == pytest.approx(0.535)
+    net = _lgru_net(3, ones, zero, ones, zero, ones, zero, np.array([1.0]), 0.25)
+    _, tr = net.forward(np.array([0.2, 0.0, 0.0]), h_prev=np.array([0.5]))
+    assert tr.z[0] == pytest.approx(0.7)
+    assert tr.r[0] == pytest.approx(0.7)
+    assert tr.n[0] == pytest.approx(0.55)
+    assert tr.h_next[0] == pytest.approx(0.535)
+    assert tr.y_gru == pytest.approx(0.535 + 0.25)   # readout adds out_b
 
 
 def test_lgru_clamp_saturation():
     ones = np.ones((1, 2))
-    h_next, _, inter = lgru_step(
-        np.array([0.0]), np.array([0.3]),
-        ones, np.array([5.0]),       # pre_z = 5.3 -> z = 1
-        ones, np.array([-5.0]),      # pre_r = -4.7 -> r = 0
-        ones, np.zeros(1), np.array([1.0]), 0.0)
-    assert inter["z"][0] == 1.0
-    assert inter["r"][0] == 0.0
+    net = _lgru_net(1, ones, np.array([5.0]),      # pre_z = 5.3 -> z = 1
+                    ones, np.array([-5.0]),        # pre_r = -4.7 -> r = 0
+                    ones, np.zeros(1), np.array([1.0]), 0.0)
+    _, tr = net.forward(np.array([0.0]), h_prev=np.array([0.3]))
+    assert tr.z[0] == 1.0
+    assert tr.r[0] == 0.0
     # z = 1 means the previous state is fully replaced by the candidate
-    assert h_next[0] == pytest.approx(inter["n"][0])
+    assert tr.h_next[0] == pytest.approx(tr.n[0])
 
 
 def test_gate_value_zero_weights():

@@ -43,6 +43,19 @@ def test_trigger_config_validation():
         online.TriggerConfig(momentum_alpha=1.0)
 
 
+def test_trigger_config_rejects_nonpositive_eta_max():
+    # eta_max <= 0 would turn the capped update step into an ascent
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            online.TriggerConfig(eta_max=bad)
+
+
+def test_trigger_config_rejects_negative_cooldown():
+    with pytest.raises(ValueError):
+        online.TriggerConfig(cooldown_steps=-1)
+    online.TriggerConfig(cooldown_steps=0)
+
+
 # -- buffer ------------------------------------------------------------------
 
 def test_buffer_eviction_example():

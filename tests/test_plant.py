@@ -29,12 +29,11 @@ def test_increment_ratio_between_nominal_and_true_time_constants():
 
 def test_step_general_state():
     p = _p(T=3.0)
-    s0 = pl.PlantState(x1=math.pi / 2.0, x2=1.0, u_queue=[], k=0)
+    s0 = pl.PlantState(x1=math.pi / 2.0, x2=1.0, u_queue=[])
     s = pl.plant_step(s0, 0.0, 0.0, p)
     assert s.x1 == pytest.approx(math.pi / 2.0 + p.Ts)
     # rate = (-2*1 - sin(pi/2) + 0) / 3 = -1
     assert s.x2 == pytest.approx(1.0 - p.Ts)
-    assert s.k == 1
 
 
 def test_disturbance_enters_the_rate():
@@ -57,16 +56,16 @@ def test_input_delay_queue():
 
 def test_output_gain():
     p = _p(K=0.5)
-    assert pl.output(pl.PlantState(x1=2.0, x2=0.0, u_queue=[], k=0), p) == 1.0
+    assert pl.output(pl.PlantState(x1=2.0, x2=0.0, u_queue=[]), p) == 1.0
 
 
 def test_nominal_step_uses_nominal_parameters():
     # the nominal preset carries a one-step input delay: the first push
     # applies the queued zero, the second applies the commanded input
     s = pl.make_state(pl.NOMINAL_PLANT)
-    s = pl.nominal_step(s, 1.0, 0.0)
+    s = pl.plant_step(s, 1.0, 0.0, pl.NOMINAL_PLANT)
     assert s.x2 == 0.0
-    s = pl.nominal_step(s, 0.0, 0.0)
+    s = pl.plant_step(s, 0.0, 0.0, pl.NOMINAL_PLANT)
     assert s.x2 == pytest.approx(pl.NOMINAL_PLANT.Ts / 2.0)
 
 
