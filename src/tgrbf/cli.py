@@ -25,8 +25,8 @@ EXIT_OK, EXIT_VALIDATION, EXIT_ABORTED = 0, 2, 3
 
 def cmd_identify(args) -> int:
     with open(args.config) as fh:
-        doc = harness._check_keys("identify", json.load(fh),
-                                  {"n_samples", "epochs", "m", "p", "seed"})
+        doc = harness._check_keys("identify", json.load(fh), dict.fromkeys(
+            ("n_samples", "epochs", "m", "p", "seed"), "number"))
     n = int(doc.get("n_samples", 1000))
     epochs = int(doc.get("epochs", 200))
     m = int(doc.get("m", 6))
@@ -47,7 +47,7 @@ def cmd_identify(args) -> int:
                                       [s.target for s in hold])
     # every value parses with float(): nan when training did not halt
     halted = report.halted_epoch
-    harness._write_csv(
+    offline._write_csv(
         os.path.join(args.out, "fit_report.csv"), ["metric", "value"],
         [*((name, getattr(report, name)) for name in
            ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2")),
@@ -99,7 +99,7 @@ def cmd_compare(args) -> int:
                      metrics.overshoot_pct, metrics.settling_time_s,
                      int(metrics.settled), 0])
     table_path = os.path.join(args.out, "comparison.csv")
-    harness._write_csv(table_path, ["controller", "iae", "ise", "itae",
+    offline._write_csv(table_path, ["controller", "iae", "ise", "itae",
                                     "overshoot_pct", "settling_time_s",
                                     "settled", "aborted"], rows)
     print(f"comparison table written to {table_path}")

@@ -9,7 +9,6 @@ produces a per-step trace from which all metrics and plot data derive.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -21,7 +20,7 @@ from . import __version__
 from . import control as ctl
 from . import plant as pl
 from .network import TgrbfNet
-from .offline import Sample, deploy_input
+from .offline import Sample, _write_csv, deploy_input
 from .online import ExperienceBuffer, OnlineOptimizer, TriggerConfig
 
 __all__ = [
@@ -83,27 +82,44 @@ _SECTIONS = {"plant": pl.PlantParams, "disturbance": pl.DisturbanceSpec,
              "trigger": TriggerConfig}
 
 
-def _check_keys(section: str, d: dict, accepted) -> dict:
+# JSON values a key of each kind takes: a dataclass field's declared type,
+# "number" where the parser converts with float() or int(), "object" for a
+# section.  A bool is not a number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "str | None": (str, type(None)), "number": (int, float),
+               "object": (dict,)}
+
+
+def _check_keys(section: str, d, accepted: dict) -> dict:
+    """d, if it is a JSON object whose keys are all in `accepted`, each with a
+    value of the kind that `accepted` gives it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"'{section}' config must be a JSON object, got {d!r}")
     unknown = set(d) - set(accepted)
     if unknown:
         raise ValueError(f"unknown keys in '{section}' config: {sorted(unknown)}")
+    for key, value in d.items():
+        kind = accepted[key]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ValueError(f"'{section}.{key}' must be a JSON {kind}, got {value!r}")
     return d
 
 
-def _config_keys(cls) -> set[str]:
-    """A dataclass's fields, less those marked as run state."""
-    return {f.name for f in fields(cls) if not f.metadata.get("run_state")}
+def _config_keys(cls) -> dict[str, str]:
+    """A dataclass's fields, less those marked as run state, with their types."""
+    return {f.name: f.type for f in fields(cls) if not f.metadata.get("run_state")}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, rejecting
-    unknown keys."""
-    _check_keys("top", doc, {*_SECTIONS, "controller", "network",
-                             "duration_s", "seed"} - {"trigger"})
+    unknown keys and values of the wrong type."""
+    sections = dict.fromkeys({*_SECTIONS, "controller", "network"} - {"trigger"},
+                             "object")
+    _check_keys("top", doc, {**sections, "duration_s": "number", "seed": "number"})
     c = _check_keys("controller", doc.get("controller", {}),
-                    {"type", "u_limit", "control_sign"})
-    n = _check_keys("network", doc.get("network", {}),
-                    {"checkpoint", "buffer_capacity", "trigger"})
+                    {"type": "str", "u_limit": "number", "control_sign": "number"})
+    n = _check_keys("network", doc.get("network", {}), {
+        "checkpoint": "str | None", "buffer_capacity": "number", "trigger": "object"})
     found = {**doc, **n}   # every section, "trigger" included
     kw = {name: cls(**_check_keys(name, found[name], _config_keys(cls)))
           for name, cls in _SECTIONS.items() if name in found}
@@ -144,12 +160,7 @@ class MetricsReport:
     fit_mse_online: float = 0.0
 
     def as_rows(self) -> list[tuple[str, float]]:
-        return [("iae", self.iae), ("ise", self.ise), ("itae", self.itae),
-                ("overshoot_pct", self.overshoot_pct),
-                ("settling_time_s", self.settling_time_s),
-                ("settled", float(self.settled)),
-                ("update_count", float(self.update_count)),
-                ("fit_mse_online", self.fit_mse_online)]
+        return [(f.name, float(getattr(self, f.name))) for f in fields(self)]
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -170,8 +181,7 @@ def run_scenario(cfg: ScenarioConfig,
     if adaptive and net is None:
         raise ValueError("tgrbf_nc controller requires a network checkpoint")
 
-    noise = pl.make_noise_stream(
-        pl.DisturbanceSpec(**{**cfg.disturbance.__dict__, "seed": cfg.seed}))
+    noise = np.random.Generator(np.random.PCG64(cfg.seed))
     opt_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     opt = None
     if adaptive:
@@ -288,16 +298,6 @@ def export_trace_csv(trace: RunTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         fh.writelines(line % tuple(row.tolist()) for row in trace.data)
-
-
-def _write_csv(path, header: list, rows) -> None:
-    """A CSV table; floats as %.17g (exact round trip), other values as the
-    csv module writes them."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
-                    for row in rows)
 
 
 def export_metrics_csv(rep: MetricsReport, path) -> None:

@@ -23,7 +23,6 @@ __all__ = [
     "ForwardTrace",
     "rbf_forward",
     "lgru_step",
-    "gate_value",
     "sigmoid",
 ]
 
@@ -80,13 +79,6 @@ def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h):
     n = xi @ W_h.T + b_h
     h_next = (1.0 - z) * h_prev + z * n
     return h_next, zeta, pre_z, pre_r, z, r, xi, n
-
-
-def gate_value(x, h_prev, gate_w, gate_b):
-    """Fusion gate g = sigmoid(gate_w . [x; h_prev] + gate_b), in (0, 1).
-    x and h_prev may carry a common leading batch axis."""
-    zeta = np.concatenate([x, h_prev], axis=-1)
-    return _item(sigmoid(zeta @ gate_w + gate_b))
 
 
 @dataclass
@@ -224,7 +216,7 @@ class TgrbfNet:
         if self.gate_frozen:
             g = _item(np.ones(x.shape[:-1]))
         else:
-            g = gate_value(x, h_prev, self.gate_w, self.gate_b)
+            g = _item(sigmoid(zeta @ self.gate_w + self.gate_b))
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                              pre_z=pre_z, pre_r=pre_r, z=z, r=r, n=n,
@@ -240,75 +232,53 @@ class TgrbfNet:
 
     # -- Jacobians ----------------------------------------------------------
 
+    def _x_terms(self, trace: ForwardTrace):
+        """The factors of dy/dW that x also reaches: diff = x - centers, the
+        RBF factor a = g*rbf_w*phi, dy/dcenters and dy/d(b_z, b_r, b_h,
+        gate_b).  Both Jacobians are built from them."""
+        g = np.asarray(trace.g)
+        q = (1.0 - g)[..., None] * self.out_w           # dy/dh_next
+        diff = trace.x[..., None, :] - self.centers     # (..., m, n_in)
+        a = g[..., None] * self.rbf_w * trace.phi
+        d_centers = (a / self.widths ** 2)[..., None] * diff
+        cz = q * (trace.n - trace.h_prev) * _clamp_mask(trace.pre_z)
+        qz = q * trace.z
+        # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
+        t = (qz @ self.W_h[:, self.n_in:]) * trace.h_prev * _clamp_mask(trace.pre_r)
+        if self.gate_frozen:
+            s_g = np.zeros_like(g)
+        else:
+            s_g = g * (1.0 - g) * (trace.y_rbf - trace.y_gru)
+        return diff, a, d_centers, cz, t, qz, s_g
+
     def jacobian_params(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dW in flat-vector layout (single-step, h_prev held fixed).
 
         Shape (P,) for a single-sample trace, (s, P) for a batched one."""
-        x, h_prev = trace.x, trace.h_prev
+        diff, a, d_centers, cz, t, qz, s_g = self._x_terms(trace)
         g = np.asarray(trace.g)
-        one_m_g = 1.0 - g
-        gc, one_m_gc = g[..., None], one_m_g[..., None]   # one column per row
-        phi, z, n = trace.phi, trace.z, trace.n
-
-        diff = x[..., None, :] - self.centers           # (..., m, n_in)
-        d_rbf_w = gc * phi
-        d_centers = (gc * self.rbf_w * phi / self.widths ** 2)[..., None] * diff
-        d_widths = gc * self.rbf_w * phi * (diff ** 2).sum(axis=-1) / self.widths ** 3
-
-        q = one_m_gc * self.out_w                       # dy/dh_next
-        mz = _clamp_mask(trace.pre_z)
-        mr = _clamp_mask(trace.pre_r)
-        zeta = trace.zeta
-
-        cz = q * (n - h_prev) * mz                      # (..., p)
-        d_W_z = _outer(cz, zeta)
-        d_b_z = cz
-        d_W_h = _outer(q * z, trace.xi)
-        d_b_h = q * z
-        # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
-        t = ((q * z) @ self.W_h[:, self.n_in:]) * h_prev * mr   # (..., p)
-        d_W_r = _outer(t, zeta)
-        d_b_r = t
-
-        if self.gate_frozen:
-            s_g = np.zeros_like(g)
-        else:
-            s_g = g * one_m_g * (trace.y_rbf - trace.y_gru)
-        s_gc = s_g[..., None]
-        d_gate_w = s_gc * zeta
-        d_out_w = one_m_gc * trace.h_next
-
+        gc, one_m_gc = g[..., None], (1.0 - g)[..., None]   # one column per row
+        d_widths = a * (diff ** 2).sum(axis=-1) / self.widths ** 3
+        zeta, s_gc = trace.zeta, s_g[..., None]
         lead = g.shape
         return np.concatenate([
-            d_rbf_w, d_centers.reshape(lead + (-1,)),
-            d_W_z.reshape(lead + (-1,)), d_W_r.reshape(lead + (-1,)),
-            d_W_h.reshape(lead + (-1,)), d_gate_w, s_gc, d_out_w, one_m_gc,
-            d_widths, d_b_z, d_b_r, d_b_h,
+            gc * trace.phi, d_centers.reshape(lead + (-1,)),
+            _outer(cz, zeta).reshape(lead + (-1,)),
+            _outer(t, zeta).reshape(lead + (-1,)),
+            _outer(qz, trace.xi).reshape(lead + (-1,)), s_gc * zeta, s_gc,
+            one_m_gc * trace.h_next, one_m_gc, d_widths, cz, t, qz,
         ], axis=-1)
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
-        """dy/dx including the RBF, LGRU and gate paths, for a single-sample
-        trace."""
+        """dy/dx, shape (n_in,) for a single-sample trace, (s, n_in) for a
+        batched one.  x enters only as x - centers and through the
+        first-layer affine maps, so dy/dx is -sum_i dy/dc_i plus each of
+        dy/db_z, dy/db_r, dy/db_h, dy/dgate_b times its weights' x columns."""
+        _, _, d_centers, cz, t, qz, s_g = self._x_terms(trace)
         n_in = self.n_in
-        g = trace.g
-        diff = self.centers - trace.x
-        d_rbf = g * ((self.rbf_w * trace.phi / self.widths ** 2)[:, None] * diff
-                     ).sum(axis=0)
-
-        q = (1.0 - g) * self.out_w
-        mz = _clamp_mask(trace.pre_z)
-        mr = _clamp_mask(trace.pre_r)
-        dn_dx = (self.W_h[:, :n_in]
-                 + self.W_h[:, n_in:] @ ((trace.h_prev * mr)[:, None] * self.W_r[:, :n_in]))
-        dh_dx = ((trace.n - trace.h_prev) * mz)[:, None] * self.W_z[:, :n_in] \
-            + trace.z[:, None] * dn_dx
-        d_gru = q @ dh_dx
-
-        if self.gate_frozen:
-            d_gate = 0.0
-        else:
-            d_gate = g * (1.0 - g) * (trace.y_rbf - trace.y_gru) * self.gate_w[:n_in]
-        return d_rbf + d_gru + d_gate
+        return (cz @ self.W_z[:, :n_in] + t @ self.W_r[:, :n_in]
+                + qz @ self.W_h[:, :n_in] + s_g[..., None] * self.gate_w[:n_in]
+                - d_centers.sum(axis=-2))
 
     # -- flat parameter vector ----------------------------------------------
 

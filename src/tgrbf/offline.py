@@ -17,7 +17,7 @@ import numpy as np
 
 from . import plant as pl
 from .network import TgrbfNet, lgru_step
-from .online import explicit_step_size
+from .online import explicit_step_size, momentum_update
 
 __all__ = [
     "Sample", "Dataset", "FitReport",
@@ -243,8 +243,8 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
             grad = (J.T @ F) / len(F)
             eta, degenerate = explicit_step_size(F, J)
             eta = min(eta_max, 1.0) if degenerate else min(eta, eta_max)
-            W_next = W - eta * grad + momentum * (W - W_prev)
-            if not np.all(np.isfinite(W_next)):
+            W_next = momentum_update(W, W_prev, grad, eta, momentum)
+            if W_next is None:
                 W_prev = W.copy()     # reject step, drop momentum
                 continue
             # keep kernel widths above the positivity floor
@@ -298,12 +298,19 @@ def fit_metrics(pred, actual) -> FitReport:
                      mae=float(np.mean(np.abs(err))), r2=r2)
 
 
-def dataset_to_csv(data: Dataset, path) -> None:
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV table; floats as %.17g (exact round trip), other values as the
+    csv module writes them."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "u", "y_prev", "y_teacher", "target"])
-        for k, s in enumerate(data.samples):
-            w.writerow([k] + [f"{v:.17g}" for v in (*s.x, s.target)])
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def dataset_to_csv(data: Dataset, path) -> None:
+    _write_csv(path, ["k", "u", "y_prev", "y_teacher", "target"],
+               ([k, *s.x, s.target] for k, s in enumerate(data.samples)))
 
 
 def dataset_from_csv(path, holdout_frac: float = 0.2) -> Dataset:

@@ -23,7 +23,7 @@ __all__ = [
     "PlantParams", "PlantState", "DisturbanceSpec", "ReferenceSpec",
     "TRUE_PLANT", "NOMINAL_PLANT",
     "make_state", "plant_step",
-    "disturbance_at", "make_noise_stream", "reference_at",
+    "disturbance_at", "reference_at",
 ]
 
 
@@ -80,17 +80,10 @@ class DisturbanceSpec:
     noise_std: float = 0.01
     sine_amp: float = 0.05
     sine_freq_hz: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
-
-
-def make_noise_stream(spec: DisturbanceSpec) -> np.random.Generator:
-    """Seeded generator for the white-noise component (PCG64; the algorithm
-    identity is recorded in run metadata for reproducibility)."""
-    return np.random.Generator(np.random.PCG64(spec.seed))
 
 
 def disturbance_at(spec: DisturbanceSpec, k: int, Ts: float,

@@ -4,8 +4,9 @@ The scenario parser used to list every accepted key by hand (`_SCHEMA`) and
 build each section in its own `if` block; it now takes the keys from the
 dataclass fields.  The network's checkpoint loader and parameter count used
 to name all 13 segments by hand; they now follow `_SEGMENTS`.  These tests
-keep the earlier code and require the same accepted keys, the same parsed
-configs and the same bytes.
+keep the earlier code and require the same accepted keys (less
+`disturbance.seed`, deleted because the run seed always overrode it), the
+same parsed configs and the same bytes.
 """
 
 import json
@@ -104,8 +105,7 @@ def _ref_count_parameters(net):
 # the parser converts to float, floats where it converts to int
 FULL = {
     "plant": {"T": 2.5, "K": 0.75, "Ts": 0.002, "input_delay": 2},
-    "disturbance": {"noise_std": 0.02, "sine_amp": 0.1, "sine_freq_hz": 0.25,
-                    "seed": 7},
+    "disturbance": {"noise_std": 0.02, "sine_amp": 0.1, "sine_freq_hz": 0.25},
     "reference": {"kind": "sine", "amplitude": 0.5, "freq_hz": 0.2,
                   "step_time_s": 0.1},
     "controller": {"type": "nc_fixed", "u_limit": 5, "control_sign": -1},
@@ -170,11 +170,14 @@ def test_every_section_accepts_the_same_keys(section):
     old = {k for k in _CANDIDATES if _accepts(_ref_config_from_dict, path, k)}
     new = {k for k in _CANDIDATES if _accepts(harness.config_from_dict, path, k)}
     assert old == _REF_SCHEMA["gains" if section == "nc_gains" else section]
-    assert new == old
+    # disturbance.seed never changed a run (the run seed overrode it) and
+    # is no longer a key
+    assert old - new == ({"seed"} if section == "disturbance" else set())
+    assert new <= old
 
 
 def test_run_state_is_not_a_config_key():
-    assert harness._config_keys(ctl.PidState) == _REF_SCHEMA["pid"]
+    assert set(harness._config_keys(ctl.PidState)) == _REF_SCHEMA["pid"]
     with pytest.raises(ValueError, match="unknown keys"):
         harness.config_from_dict({"pid": {"integral": 1.0}})
 

@@ -228,6 +228,64 @@ def test_cli_identify_unknown_key_exit_2(tmp_path):
     assert not out.exists()
 
 
+def _cli_exit(tmp_path, capsys, command, doc):
+    """cli.main's exit code for `command` on the config `doc`; a code of 2
+    must come with the one-line error message, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+    return code
+
+
+@pytest.mark.parametrize("command", ["run", "identify"])
+def test_cli_top_level_array_exit_2(tmp_path, capsys, command):
+    assert _cli_exit(tmp_path, capsys, command, []) == 2
+
+
+def test_cli_section_not_an_object_exit_2(tmp_path, capsys):
+    assert _cli_exit(tmp_path, capsys, "run", {"plant": 5}) == 2
+
+
+def test_cli_value_of_wrong_type_exit_2(tmp_path, capsys):
+    assert _cli_exit(tmp_path, capsys, "run", {"plant": {"T": "abc"}}) == 2
+
+
+def test_cli_identify_value_of_wrong_type_exit_2(tmp_path, capsys):
+    assert _cli_exit(tmp_path, capsys, "identify", {"m": [1]}) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_disturbance_seed_is_not_a_config_key(tmp_path, capsys):
+    doc = {"controller": {"type": "pid"}, "disturbance": {"seed": 1}}
+    assert _cli_exit(tmp_path, capsys, "run", doc) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"plant": {"input_delay": 2.0}},
+    {"plant": {"K": True}},
+    {"reference": {"kind": 1}},
+    {"network": {"checkpoint": 5}},
+    {"network": {"trigger": [1]}},
+    {"controller": {"u_limit": "10"}},
+    {"seed": None},
+], ids=["float-for-int", "bool-for-float", "int-for-str", "int-checkpoint",
+        "array-section", "string-number", "null-seed"])
+def test_config_rejects_values_of_the_wrong_json_type(doc):
+    with pytest.raises(ValueError, match="must be a JSON"):
+        harness.config_from_dict(doc)
+
+
+def test_config_keeps_number_conversions():
+    """Keys the parser converts take any JSON number, as before."""
+    cfg = harness.config_from_dict({"seed": 3.0, "duration_s": 1,
+                                    "network": {"buffer_capacity": 500.0,
+                                                "checkpoint": None}})
+    assert (cfg.seed, cfg.duration_s, cfg.buffer_capacity) == (3, 1.0, 500)
+    assert cfg.checkpoint is None
+
+
 def test_cli_run_pid_scenario(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tgrbf.network import TgrbfNet, gate_value, random_net, rbf_forward, sigmoid
+from tgrbf.network import TgrbfNet, random_net, rbf_forward, sigmoid
 
 
 def _kernel(x, center, width):
@@ -81,7 +81,10 @@ def test_lgru_clamp_saturation():
 
 
 def test_gate_value_zero_weights():
-    g = gate_value(np.zeros(2), np.zeros(1), np.zeros(3), 0.5)
+    net = random_net(2, 3, 1, np.random.default_rng(0))
+    net.gate_w, net.gate_b = np.zeros(3), 0.5
+    _, tr = net.forward(np.zeros(2), h_prev=np.zeros(1))
+    g = tr.g
     assert g == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
     assert g == pytest.approx(0.622459, abs=1e-6)
 
