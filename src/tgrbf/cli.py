@@ -43,8 +43,7 @@ def cmd_identify(args) -> int:
     offline.dataset_to_csv(data, os.path.join(args.out, "dataset.csv"))
     # reference: the persistence predictor y_hat = y_prev on the holdout
     hold = data.holdout()
-    persistence = offline.fit_metrics([s.x[1] for s in hold],
-                                      [s.target for s in hold])
+    persistence = offline.fit_metrics(hold[:, 1], hold[:, -1])
     # every value parses with float(): nan when training did not halt
     halted = report.halted_epoch
     offline._write_csv(

@@ -12,13 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from . import plant as pl
-
 __all__ = [
     "GainState", "PidState", "sig_alpha", "control_law", "adapt_gains",
-    "pid_step", "tune_pid_relay_zn",
+    "pid_step",
 ]
 
 
@@ -94,41 +90,3 @@ def pid_step(p: PidState, e: float, Ts: float,
     u = p.kp * e + p.ki * integral + p.kd * (e - p.e_prev) / Ts
     u = min(max(u, -u_limit), u_limit)
     return u, replace(p, integral=integral, e_prev=e)
-
-
-def tune_pid_relay_zn(params: pl.PlantParams, Ts: float,
-                      relay_amp: float = 1.0, n_steps: int = 4000,
-                      setpoint: float = 0.0) -> tuple[float, float, float]:
-    """Fixed, reproducible PID tuning: relay feedback to estimate the
-    ultimate gain/period, then classic Ziegler-Nichols PID rules.
-
-    Returns (kp, ki, kd).  Deterministic: no disturbance during the test.
-    """
-    state = pl.make_state(params)
-    ys = []
-    switch_steps = []
-    u = relay_amp
-    for k in range(n_steps):
-        y = pl.output(state, params)
-        ys.append(y)
-        u_new = relay_amp if y < setpoint else -relay_amp
-        if k > 0 and math.copysign(1.0, u_new) != math.copysign(1.0, u):
-            switch_steps.append(k)
-        u = u_new
-        state = pl.plant_step(state, u, 0.0, params)
-    ys = np.asarray(ys)
-    if len(switch_steps) < 6:
-        raise RuntimeError("relay test produced no sustained oscillation")
-    # use the back half of the test where the limit cycle has settled
-    half = switch_steps[len(switch_steps) // 2:]
-    periods = 2.0 * np.diff(half) * Ts
-    Tu = float(np.mean(periods))
-    tail = ys[half[0]:]
-    a = 0.5 * float(tail.max() - tail.min())
-    if a <= 0.0:
-        raise RuntimeError("relay test oscillation has zero amplitude")
-    ku = 4.0 * relay_amp / (math.pi * a)
-    kp = 0.6 * ku
-    Ti = 0.5 * Tu
-    Td = 0.125 * Tu
-    return kp, kp / Ti, kp * Td

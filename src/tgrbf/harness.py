@@ -20,7 +20,7 @@ from . import __version__
 from . import control as ctl
 from . import plant as pl
 from .network import TgrbfNet
-from .offline import Sample, _write_csv, deploy_input
+from .offline import _write_csv, deploy_input
 from .online import ExperienceBuffer, OnlineOptimizer, TriggerConfig
 
 __all__ = [
@@ -102,6 +102,8 @@ def _check_keys(section: str, d, accepted: dict) -> dict:
         kind = accepted[key]
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ValueError(f"'{section}.{key}' must be a JSON {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"'{section}.{key}' must be finite, got {value!r}")
     return d
 
 
@@ -185,7 +187,7 @@ def run_scenario(cfg: ScenarioConfig,
     opt_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     opt = None
     if adaptive:
-        buf = ExperienceBuffer(cfg.buffer_capacity)
+        buf = ExperienceBuffer(cfg.buffer_capacity, net.n_in)
         opt = OnlineOptimizer(net, buf, cfg.trigger, opt_rng)
 
     state = pl.make_state(cfg.plant)
@@ -221,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig,
 
         triggered, eta = 0.0, 0.0
         if opt is not None:
-            opt.buf.push(Sample(x=x_dep, target=y, err_priority=abs(e_pred)))
+            opt.buf.push(x_dep, y, abs(e_pred))
             event = opt.maybe_update(k, e_pred)
             if event is not None:
                 triggered, eta = 1.0, event.eta

@@ -1,10 +1,10 @@
 """Dataset generation from the nominal model, teacher-forcing training of
 the network, and fit-quality metrics.
 
-Training samples are triples x_k = [u_k, y_{k-1}, y_k] with target y_k (the
-teacher slot carries the true current output).  At deployment the teacher
-slot is replaced by y_{k-1}, so deployed predictions never read the current
-true output.
+A dataset row is [u_k, y_{k-1}, y_k, target y_k]: the input x_k is its first
+three columns (the teacher slot carries the true current output), the target
+its last.  At deployment the teacher slot is replaced by y_{k-1}, so deployed
+predictions never read the current true output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .network import TgrbfNet, lgru_step
 from .online import explicit_step_size, momentum_update
 
 __all__ = [
-    "Sample", "Dataset", "FitReport",
+    "Dataset", "FitReport",
     "excitation_signal", "generate_dataset", "initialize_network",
     "train_offline", "deploy_input", "evaluate_deploy", "fit_metrics",
     "dataset_to_csv", "dataset_from_csv",
@@ -30,21 +30,14 @@ WIDTH_FLOOR = 1e-2
 
 
 @dataclass
-class Sample:
-    x: np.ndarray          # [u_k, y_prev, y_teacher]
-    target: float
-    err_priority: float = 0.0
-
-
-@dataclass
 class Dataset:
-    samples: list          # chronological
+    samples: np.ndarray    # chronological rows [u_k, y_prev, y_teacher, target]
     split: int             # train/holdout boundary index
 
-    def train(self) -> list:
+    def train(self) -> np.ndarray:
         return self.samples[: self.split]
 
-    def holdout(self) -> list:
+    def holdout(self) -> np.ndarray:
         return self.samples[self.split:]
 
 
@@ -69,46 +62,33 @@ def deploy_input(u_k: float, y_prev: float) -> np.ndarray:
     return np.array([u_k, y_prev, y_prev], dtype=float)
 
 
-def excitation_signal(kind: str, n: int, rng: np.random.Generator,
-                      dwell: int = 50, low: float = -2.0,
-                      high: float = 2.0) -> np.ndarray:
-    """Input policies for identification data.
-
-    "pwc": piecewise-constant random levels held for `dwell` steps.
-    "continuous": linear interpolation between random knots every `dwell`
-    steps (the held-out continuous test signal).
-    """
-    n_knots = n // dwell + 2
-    levels = rng.uniform(low, high, size=n_knots)
-    if kind == "pwc":
-        return np.repeat(levels, dwell)[:n]
-    if kind == "continuous":
-        knot_t = np.arange(n_knots) * dwell
-        return np.interp(np.arange(n), knot_t, levels)
-    raise ValueError(f"unknown excitation kind: {kind}")
+def excitation_signal(n: int, rng: np.random.Generator, dwell: int = 50,
+                      low: float = -2.0, high: float = 2.0) -> np.ndarray:
+    """Identification input: piecewise-constant random levels held for
+    `dwell` steps."""
+    levels = rng.uniform(low, high, size=n // dwell + 2)
+    return np.repeat(levels, dwell)[:n]
 
 
-def generate_dataset(n: int, excitation: str = "pwc",
-                     params: pl.PlantParams = pl.NOMINAL_PLANT,
+def generate_dataset(n: int, params: pl.PlantParams = pl.NOMINAL_PLANT,
                      noise_std: float = 0.01, seed: int = 0,
                      holdout_frac: float = 0.2) -> Dataset:
-    """Simulate the nominal model under the excitation policy and record
-    teacher-forcing triples in chronological order."""
+    """Simulate the nominal model under the excitation signal and record
+    teacher-forcing rows in chronological order."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = excitation_signal(excitation, n, rng)
+    u = excitation_signal(n, rng)
     state = pl.make_state(params)
-    y_prev = pl.output(state, params)
-    samples = []
+    y = np.empty(n + 1)      # y[k + 1] is the output after u[k]
+    y[0] = pl.output(state, params)
     for k in range(n):
         w = noise_std * rng.standard_normal() if noise_std > 0.0 else 0.0
         state = pl.plant_step(state, float(u[k]), w, params)
-        y_k = pl.output(state, params)
-        samples.append(Sample(x=np.array([u[k], y_prev, y_k]), target=y_k))
-        y_prev = y_k
+        y[k + 1] = pl.output(state, params)
     split = n - int(round(holdout_frac * n))
-    return Dataset(samples=samples, split=split)
+    return Dataset(samples=np.column_stack([u, y[:-1], y[1:], y[1:]]),
+                   split=split)
 
 
 def initialize_network(data: Dataset, m: int = 6, p: int = 6,
@@ -118,7 +98,7 @@ def initialize_network(data: Dataset, m: int = 6, p: int = 6,
     gate weights (constant initial gate); update-gate bias 0.9 so the hidden
     state locks onto the inputs within a few steps of a reset."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    X = np.stack([s.x for s in data.train()])
+    X = data.train()[:, :-1]
     lo, hi = X.min(axis=0), X.max(axis=0)
     n_in = X.shape[1]
     centers = rng.uniform(lo, hi, size=(m, n_in))
@@ -148,45 +128,41 @@ def initialize_network(data: Dataset, m: int = 6, p: int = 6,
     )
 
 
-def _stack(samples: list, n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs (s, n_in) and targets (s,) of a list of samples."""
-    X = np.array([smp.x for smp in samples], dtype=float).reshape(-1, n_in)
-    return X, np.array([smp.target for smp in samples], dtype=float)
-
-
-def _sequence_forward(net: TgrbfNet, X: np.ndarray):
-    """One-step predictions over a chronological input sequence, hidden state
-    reset to h_init at its start.  Returns (y_hat, trace), batched.
-    The hidden-state chain depends on the LGRU branch alone, so it is scanned
-    one sample at a time with `lgru_step` (bit for bit the h_next chain of
-    single-sample forwards); the outputs then come from one batched forward."""
+def _hidden_states(net: TgrbfNet, X: np.ndarray) -> np.ndarray:
+    """Hidden state entering each step of a chronological input sequence,
+    reset to h_init at its start; one batched forward from them gives the
+    sequence's one-step predictions.  The chain depends on the LGRU branch
+    alone, so it is scanned one sample at a time with `lgru_step` (bit for
+    bit the h_next chain of single-sample forwards)."""
     H = np.empty((len(X), net.p))
     H[:1] = net.h_init
     for i in range(1, len(X)):
         H[i] = lgru_step(X[i - 1], H[i - 1], net.W_z, net.b_z, net.W_r,
                          net.b_r, net.W_h, net.b_h)[0]
-    return net.forward(X, h_prev=H)
+    return H
 
 
-def _ridge_rows(net: TgrbfNet, chunks: list) -> np.ndarray:
+def _ridge_rows(net: TgrbfNet, chunks: list, H: list) -> np.ndarray:
     """Rows [g*phi, (1-g)*h_next, 1-g] of the output-layer system, stacked
-    over the chunks: y_hat is their dot product with (rbf_w, out_w, out_b)."""
+    over the chunks with their hidden states H: y_hat is their dot product
+    with (rbf_w, out_w, out_b)."""
     rows = []
-    for X, _ in chunks:
-        _, tr = _sequence_forward(net, X)
+    for (X, _), H_c in zip(chunks, H):
+        _, tr = net.forward(X, h_prev=H_c)
         g = tr.g[:, None]
         rows.append(np.hstack([g * tr.phi, (1.0 - g) * tr.h_next, 1.0 - g]))
     return np.vstack(rows)
 
 
-def _solve_output_layers(net: TgrbfNet, chunks: list, ridge: float = 1e-6) -> None:
+def _solve_output_layers(net: TgrbfNet, chunks: list, H: list,
+                         ridge: float = 1e-6) -> None:
     """Least-squares initialization of the output-side weights.
 
     With the kernel activations, hidden states and gate values fixed at their
     current-parameter traces, the prediction is linear in (rbf_w, out_w,
     out_b); solving that ridge system in closed form gives a far better
     starting point than random output weights."""
-    A = _ridge_rows(net, chunks)
+    A = _ridge_rows(net, chunks, H)
     b = np.concatenate([targets for _, targets in chunks])
     AtA = A.T @ A
     # scale-aware ridge: collinear hidden features otherwise produce huge
@@ -199,10 +175,10 @@ def _solve_output_layers(net: TgrbfNet, chunks: list, ridge: float = 1e-6) -> No
     net.out_b = float(sol[-1])
 
 
-def _epoch_loss(net: TgrbfNet, chunks: list) -> float:
+def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
     total = 0.0
-    for X, targets in chunks:
-        F = targets - _sequence_forward(net, X)[0]
+    for (X, targets), H_c in zip(chunks, H):
+        F = targets - net.forward(X, h_prev=H_c)[0]
         total += float(F @ F)
     return total / (2.0 * sum(len(targets) for _, targets in chunks))
 
@@ -219,18 +195,21 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
     a step-rejection diagnostic.
     """
     train = data.train()
-    if not train:
+    if len(train) == 0:
         raise ValueError("empty training set")
     net = net.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    chunks = [_stack(train[i:i + chunk_len], net.n_in)
+    chunks = [(train[i:i + chunk_len, :-1], train[i:i + chunk_len, -1])
               for i in range(0, len(train), chunk_len)]
     w_off, w_size = {n: (o, size) for n, o, size in net.layout()}["widths"]
 
-    _solve_output_layers(net, chunks)
+    # the ridge solve sets only rbf_w, out_w and out_b, which the hidden
+    # states do not depend on: one scan serves it and the epoch-0 loss
+    H = [_hidden_states(net, X) for X, _ in chunks]
+    _solve_output_layers(net, chunks, H)
     W = net.to_vector()
     W_prev = W.copy()
-    loss_curve = [_epoch_loss(net, chunks)]
+    loss_curve = [_epoch_loss(net, chunks, H)]
     halted = None
     for epoch in range(epochs):
         W_epoch_start = W.copy()
@@ -238,7 +217,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
         order = rng.permutation(len(chunks))
         for ci in order:
             X, targets = chunks[ci]
-            y_hat, trace = _sequence_forward(net, X)
+            y_hat, trace = net.forward(X, h_prev=_hidden_states(net, X))
             F, J = targets - y_hat, -net.jacobian_params(trace)   # J = dF/dW
             grad = (J.T @ F) / len(F)
             eta, degenerate = explicit_step_size(F, J)
@@ -253,7 +232,8 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
             W_prev = W
             W = W_next
             net.from_vector(W)
-        loss = _epoch_loss(net, chunks)
+        H = [_hidden_states(net, X) for X, _ in chunks]
+        loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:
             W, W_prev = W_epoch_start, W_prev_start
             net.from_vector(W)
@@ -269,20 +249,22 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
     return net, report
 
 
-def evaluate_teacher(net: TgrbfNet, samples: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential one-step predictions over a chronological sample sequence
+def evaluate_teacher(net: TgrbfNet,
+                     samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential one-step predictions over chronological dataset rows
     under the training-time input convention (teacher slot carries the true
     current output); hidden state reset at the start."""
-    X, actual = _stack(samples, net.n_in)
-    return _sequence_forward(net, X)[0], actual
+    X = samples[:, :-1]
+    return net.forward(X, h_prev=_hidden_states(net, X))[0], samples[:, -1]
 
 
-def evaluate_deploy(net: TgrbfNet, samples: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential deploy-mode one-step predictions over a chronological
-    sample sequence (hidden state reset at the start): each input is
+def evaluate_deploy(net: TgrbfNet,
+                    samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential deploy-mode one-step predictions over chronological
+    dataset rows (hidden state reset at the start): each input is
     deploy_input(u_k, y_prev)."""
-    X, actual = _stack(samples, net.n_in)
-    return _sequence_forward(net, deploy_input(X[:, 0], X[:, 1]).T)[0], actual
+    X = deploy_input(samples[:, 0], samples[:, 1]).T
+    return net.forward(X, h_prev=_hidden_states(net, X))[0], samples[:, -1]
 
 
 def fit_metrics(pred, actual) -> FitReport:
@@ -310,19 +292,16 @@ def _write_csv(path, header: list, rows) -> None:
 
 def dataset_to_csv(data: Dataset, path) -> None:
     _write_csv(path, ["k", "u", "y_prev", "y_teacher", "target"],
-               ([k, *s.x, s.target] for k, s in enumerate(data.samples)))
+               ([k, *row] for k, row in enumerate(data.samples.tolist())))
 
 
 def dataset_from_csv(path, holdout_frac: float = 0.2) -> Dataset:
-    samples = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if header != ["k", "u", "y_prev", "y_teacher", "target"]:
             raise ValueError(f"unexpected dataset header: {header}")
-        for row in rd:
-            u, y_prev, y_teacher, target = map(float, row[1:])
-            samples.append(Sample(x=np.array([u, y_prev, y_teacher]),
-                                  target=target))
+        rows = [[float(v) for v in row[1:]] for row in rd]
+    samples = np.array(rows).reshape(len(rows), 4)   # raises on a short row
     split = len(samples) - int(round(holdout_frac * len(samples)))
     return Dataset(samples=samples, split=split)

@@ -74,55 +74,41 @@ def should_trigger(e_t: float, cfg: TriggerConfig,
 class ExperienceBuffer:
     """Bounded sample store with priority-aware FIFO eviction.
 
-    When full, the entry with the smallest err_priority among the oldest
-    ceil(N/4) entries is evicted (ties broken by lowest insertion index,
-    i.e. pure FIFO under equal priorities).  The priorities are mirrored in
-    a numpy array, oldest first; change them through set_priorities so the
-    array and each sample's err_priority stay in step.
+    Rows of X (inputs), targets and priority hold the samples, oldest
+    first; the first len(buf) rows are in use.  When full, the row with the
+    smallest priority among the oldest ceil(N/4) is evicted (ties broken by
+    age, i.e. pure FIFO under equal priorities).
     """
 
-    def __init__(self, capacity: int = 1000):
+    def __init__(self, capacity: int, n_in: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.entries: list = []        # samples, oldest first
-        self._insert_idx: list[int] = []
-        self._priority = np.empty(capacity)
-        self._counter = 0
+        self.X = np.empty((capacity, n_in))
+        self.targets = np.empty(capacity)
+        self.priority = np.empty(capacity)
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
-    def push(self, sample) -> None:
-        n = len(self.entries)
-        if n >= self.capacity:
-            # argmin returns the first minimum: the oldest entry wins ties
-            evict = int(np.argmin(self._priority[:math.ceil(n / 4)]))
-            del self.entries[evict]
-            del self._insert_idx[evict]
-            self._priority[evict:n - 1] = self._priority[evict + 1:n]
+    def push(self, x, target: float, priority: float) -> None:
+        n = self._n
+        if n == self.capacity:
+            # argmin returns the first minimum: the oldest row wins ties
+            evict = int(self.priority[:math.ceil(n / 4)].argmin())
+            for a in (self.X, self.targets, self.priority):
+                a[evict:n - 1] = a[evict + 1:n]
             n -= 1
-        self._priority[n] = sample.err_priority
-        self.entries.append(sample)
-        self._insert_idx.append(self._counter)
-        self._counter += 1
-
-    def set_priorities(self, idx, priorities) -> None:
-        """Set the priorities of the entries at positions idx."""
-        for i, prio in zip(idx, priorities):
-            self.entries[i].err_priority = float(prio)
-            self._priority[i] = prio
+        self.X[n], self.targets[n], self.priority[n] = x, target, priority
+        self._n = n + 1
 
 
 def sample_batch(buf: ExperienceBuffer, s: int,
-                 rng: np.random.Generator) -> tuple[list, np.ndarray]:
-    """Uniform sample without replacement; s is capped at the buffer size.
-    Returns the samples and their positions in the buffer."""
-    n = len(buf)
-    if n == 0:
-        return [], np.empty(0, dtype=int)
-    idx = rng.choice(n, size=min(s, n), replace=False)
-    return [buf.entries[i] for i in idx], idx
+                 rng: np.random.Generator) -> np.ndarray:
+    """Buffer positions of a uniform sample without replacement; s is capped
+    at the buffer size (an empty buffer gives no positions)."""
+    return rng.choice(len(buf), size=min(s, len(buf)), replace=False)
 
 
 def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
@@ -134,19 +120,19 @@ def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
                      net.W_h, net.b_h)[0]
 
 
-def _replay(net, batch):
-    """Residuals F_k = y_k - yhat_k of the whole batch, replayed with one
-    batched recurrence step and one batched forward, and that forward's trace."""
-    X = np.array([smp.x for smp in batch], dtype=float)
-    targets = np.array([smp.target for smp in batch], dtype=float)
+def _replay(net, X: np.ndarray, targets: np.ndarray):
+    """Residuals F_k = y_k - yhat_k of a batch of inputs X (s, n_in),
+    replayed with one batched recurrence step and one batched forward, and
+    that forward's trace."""
     y_hat, trace = net.forward(X, h_prev=replay_hidden_state(net, X))
     return targets - y_hat, trace
 
 
-def residuals_and_jacobian(net, batch) -> tuple[np.ndarray, np.ndarray]:
+def residuals_and_jacobian(net, X: np.ndarray,
+                           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
-    F, trace = _replay(net, batch)
+    F, trace = _replay(net, X, targets)
     # the online columns are a prefix; negating the slice copies it row-major
     n = sum(np.size(getattr(net, name)) for name, _ in _ONLINE)
     return F, -net.jacobian_params(trace)[:, :n]
@@ -192,9 +178,9 @@ def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
     return W_next
 
 
-def batch_loss(net, batch) -> float:
-    F, _ = _replay(net, batch)
-    return float(F @ F) / (2.0 * len(batch))
+def batch_loss(net, X: np.ndarray, targets: np.ndarray) -> float:
+    F, _ = _replay(net, X, targets)
+    return float(F @ F) / (2.0 * len(F))
 
 
 class OnlineOptimizer:
@@ -215,13 +201,14 @@ class OnlineOptimizer:
         (skipped).  A rejected step leaves the network unchanged."""
         if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
             return None
-        batch, idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
-        if not batch:
+        idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
+        if idx.size == 0:
             return None
         self.last_update_k = k
 
-        F, J = residuals_and_jacobian(self.net, batch)
-        s = len(batch)
+        X, targets = self.buf.X[idx], self.buf.targets[idx]
+        F, J = residuals_and_jacobian(self.net, X, targets)
+        s = len(idx)
         grad = (J.T @ F) / s
         loss_before = float(F @ F) / (2.0 * s)
 
@@ -250,10 +237,10 @@ class OnlineOptimizer:
         else:
             self.net._load(Wm_next, _ONLINE)
             self.W_prev_masked = Wm
-            event.loss_after = batch_loss(self.net, batch)
+            event.loss_after = batch_loss(self.net, X, targets)
 
         # refresh replay priorities of the evaluated samples
-        self.buf.set_priorities(idx, np.abs(F))
+        self.buf.priority[idx] = np.abs(F)
 
         self.events.append(event)
         return event

@@ -17,7 +17,6 @@ import pytest
 from tgrbf import cli, harness, offline, online
 from tgrbf.gradcheck import gradient_audit
 from tgrbf.network import TgrbfNet
-from tgrbf.offline import Sample
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKPOINT = ROOT / "artifacts" / "network.json"
@@ -166,11 +165,11 @@ def test_criterion_07_trigger_no_mutation():
     # (a) |e| <= delta forced for an entire run: bit-identical parameters
     net = TgrbfNet.load(CHECKPOINT)
     cfg = online.TriggerConfig(delta=0.01)
-    buf = online.ExperienceBuffer(1000)
+    buf = online.ExperienceBuffer(1000, net.n_in)
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(64):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(Sample(x=x, target=float(rng.normal()), err_priority=1.0))
+        buf.push(x, float(rng.normal()), 1.0)
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(1)))
     before = net.to_vector().copy()
@@ -220,12 +219,13 @@ def test_criterion_08_buffer_policy_oracle():
         else:
             n = int(rng.integers(1, cap + 30))
         pr = rng.integers(0, 7, size=n).astype(float)
-        buf = online.ExperienceBuffer(capacity=cap)
-        for p in pr:
-            buf.push(Sample(x=np.zeros(1), target=0.0, err_priority=float(p)))
+        buf = online.ExperienceBuffer(capacity=cap, n_in=1)
+        for i, p in enumerate(pr):
+            # the target carries the insertion index
+            buf.push(np.zeros(1), float(i), float(p))
             assert len(buf) <= cap, "capacity exceeded"
-        got = [(s.err_priority, i) for i, s in
-               zip(buf._insert_idx, buf.entries)]
+        got = [(p, int(i)) for p, i in
+               zip(buf.priority[:len(buf)].tolist(), buf.targets[:len(buf)])]
         want = _brute_force_retained(pr, cap)
         assert got == want, (
             f"eviction mismatch (capacity {cap}): {got} != {want}")

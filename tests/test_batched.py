@@ -12,7 +12,6 @@ import pytest
 
 from tgrbf import online
 from tgrbf.network import random_net
-from tgrbf.offline import Sample
 
 TOL = 1e-12
 
@@ -72,14 +71,14 @@ def _ref_jacobian_params(net, tr):
     ])
 
 
-def _ref_residuals_and_jacobian(net, batch):
+def _ref_residuals_and_jacobian(net, X, targets):
     """The per-sample replay loop: two forwards from h_init, one Jacobian."""
     mask = net.online_mask()
     F, J = [], []
-    for smp in batch:
-        _, tr0 = _ref_forward(net, smp.x, net.h_init)
-        y_hat, tr = _ref_forward(net, smp.x, tr0["h_next"])
-        F.append(smp.target - y_hat)
+    for x, target in zip(X, targets):
+        _, tr0 = _ref_forward(net, x, net.h_init)
+        y_hat, tr = _ref_forward(net, x, tr0["h_next"])
+        F.append(target - y_hat)
         J.append(-_ref_jacobian_params(net, tr)[mask])
     return np.array(F), np.array(J)
 
@@ -188,13 +187,13 @@ def test_kink_pre_activations_match_exactly():
 def test_residuals_and_jacobian_match_per_sample_replay():
     rng = np.random.Generator(np.random.PCG64(5))
     for net, X, _ in _cases(6, 60):
-        batch = [Sample(x=x, target=float(rng.normal())) for x in X]
-        F, J = online.residuals_and_jacobian(net, batch)
-        F_ref, J_ref = _ref_residuals_and_jacobian(net, batch)
+        targets = rng.normal(size=len(X))
+        F, J = online.residuals_and_jacobian(net, X, targets)
+        F_ref, J_ref = _ref_residuals_and_jacobian(net, X, targets)
         assert _rel(F, F_ref) <= TOL
         assert _rel(J, J_ref) <= TOL
-        assert online.batch_loss(net, batch) == pytest.approx(
-            float(F_ref @ F_ref) / (2.0 * len(batch)), rel=TOL)
+        assert online.batch_loss(net, X, targets) == pytest.approx(
+            float(F_ref @ F_ref) / (2.0 * len(X)), rel=TOL)
 
 
 def test_replay_hidden_state_accepts_stacked_inputs():

@@ -262,6 +262,26 @@ def test_cli_disturbance_seed_is_not_a_config_key(tmp_path, capsys):
     assert _cli_exit(tmp_path, capsys, "run", doc) == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", '{"seed": 1e999}'),
+    ("identify", '{"n_samples": 1e999}'),
+    ("run", '{"duration_s": 1e999}'),
+    ("run", '{"controller": {"u_limit": -Infinity}}'),
+    ("identify", '{"epochs": Infinity}'),
+    ("run", '{"plant": {"K": NaN}}'),
+], ids=["run-seed-1e999", "identify-n_samples-1e999", "run-duration-1e999",
+        "run-minus-infinity", "identify-infinity", "run-nan"])
+def test_cli_number_that_is_not_finite_exit_2(tmp_path, capsys, command, text):
+    """A JSON number that parses to +-inf or NaN is a validation error (it
+    used to reach int() or round() and exit 1 with OverflowError)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"plant": {"input_delay": 2.0}},
     {"plant": {"K": True}},
@@ -346,8 +366,7 @@ def test_cli_identify_fit_report_has_persistence_reference(tmp_path):
     value = float(rows["persistence_mse"])
     # y_hat = y_prev against the target, on the holdout of the written data
     hold = offline.dataset_from_csv(out / "dataset.csv").holdout()
-    y_prev = np.array([s.x[1] for s in hold])
-    target = np.array([s.target for s in hold])
+    y_prev, target = hold[:, 1], hold[:, -1]
     assert value > 0.0
     assert value == pytest.approx(float(np.mean((target - y_prev) ** 2)),
                                   rel=1e-12)

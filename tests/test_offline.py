@@ -13,44 +13,28 @@ def test_deploy_input_duplicates_previous_output():
 
 def test_excitation_pwc_holds_levels():
     rng = np.random.Generator(np.random.PCG64(0))
-    u = offline.excitation_signal("pwc", 200, rng, dwell=50)
+    u = offline.excitation_signal(200, rng, dwell=50)
     assert u.shape == (200,)
     for start in range(0, 200, 50):
         assert np.all(u[start:start + 50] == u[start])
     assert np.all((u >= -2.0) & (u <= 2.0))
 
 
-def test_excitation_continuous_in_range():
-    rng = np.random.Generator(np.random.PCG64(1))
-    u = offline.excitation_signal("continuous", 200, rng, dwell=50)
-    assert u.shape == (200,)
-    assert np.all((u >= -2.0) & (u <= 2.0))
-    # interpolated, not piecewise constant
-    assert np.unique(u).size > 10
-
-
-def test_excitation_unknown_kind():
-    rng = np.random.Generator(np.random.PCG64(0))
-    with pytest.raises(ValueError):
-        offline.excitation_signal("chirp", 100, rng)
-
-
 def test_generate_dataset_shape_and_split():
     data = offline.generate_dataset(100, seed=0)
-    assert len(data.samples) == 100
+    assert data.samples.shape == (100, 4)
     assert len(data.train()) == 80
     assert len(data.holdout()) == 20
-    # teacher slot carries the current true output
-    for s in data.samples[:5]:
-        assert s.x[2] == s.target
+    # teacher slot carries the current true output, which is the next
+    # row's previous output
+    assert np.array_equal(data.samples[:, 2], data.samples[:, 3])
+    assert np.array_equal(data.samples[1:, 1], data.samples[:-1, 3])
 
 
 def test_generate_dataset_deterministic():
     a = offline.generate_dataset(50, seed=7)
     b = offline.generate_dataset(50, seed=7)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.x, sb.x)
-        assert sa.target == sb.target
+    assert a.samples.tobytes() == b.samples.tobytes()
 
 
 def test_generate_dataset_validation():
@@ -90,16 +74,25 @@ def test_dataset_csv_round_trip(tmp_path):
     path = tmp_path / "dataset.csv"
     offline.dataset_to_csv(data, path)
     back = offline.dataset_from_csv(path)
-    assert len(back.samples) == 40
+    assert back.samples.shape == data.samples.shape == (40, 4)
     assert back.split == data.split
-    for sa, sb in zip(data.samples, back.samples):
-        assert np.array_equal(sa.x, sb.x)
-        assert sa.target == sb.target
+    # %.17g round-trips every float: equal arrays, bit for bit
+    assert back.samples.tobytes() == data.samples.tobytes()
 
 
 def test_dataset_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
+    with pytest.raises(ValueError):
+        offline.dataset_from_csv(path)
+
+
+@pytest.mark.parametrize("rows", ["0,1,2,3,4\n1,1,2,3\n",
+                                  "0,1,2,3\n1,1,2,3\n2,1,2,3\n3,1,2,3\n"],
+                         ids=["one-short-row", "every-row-short"])
+def test_dataset_csv_rejects_a_short_row(tmp_path, rows):
+    path = tmp_path / "short.csv"
+    path.write_text("k,u,y_prev,y_teacher,target\n" + rows)
     with pytest.raises(ValueError):
         offline.dataset_from_csv(path)
 
@@ -110,7 +103,7 @@ def test_initialize_network_dimensions_and_widths():
     assert (net.m, net.p, net.n_in) == (5, 4, 3)
     assert np.all(net.widths >= offline.WIDTH_FLOOR)
     # centers live inside the observed input hypercube
-    X = np.stack([s.x for s in data.train()])
+    X = data.train()[:, :-1]
     assert np.all(net.centers >= X.min(axis=0) - 1e-12)
     assert np.all(net.centers <= X.max(axis=0) + 1e-12)
 
@@ -130,7 +123,7 @@ def test_train_offline_short_run_quality():
 
 
 def test_train_offline_empty_training_set():
-    data = offline.Dataset(samples=[], split=0)
+    data = offline.Dataset(samples=np.empty((0, 4)), split=0)
     net0 = offline.initialize_network(offline.generate_dataset(50, seed=0),
                                       m=3, p=2, seed=0)
     with pytest.raises(ValueError):

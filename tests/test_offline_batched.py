@@ -15,7 +15,7 @@ import pytest
 
 from tgrbf import offline
 from tgrbf.network import random_net
-from tgrbf.offline import Dataset, Sample
+from tgrbf.offline import Dataset
 from tgrbf.online import explicit_step_size
 
 TOL = 1e-12
@@ -28,9 +28,9 @@ def _ref_chunk_pass(net, chunk, with_jacobian):
     h = net.h_init.copy()
     F = np.empty(len(chunk))
     J = np.empty((len(chunk), net.count_parameters())) if with_jacobian else None
-    for i, smp in enumerate(chunk):
-        y_hat, trace = net.forward(smp.x, h_prev=h)
-        F[i] = smp.target - y_hat
+    for i, row in enumerate(chunk):
+        y_hat, trace = net.forward(row[:-1], h_prev=h)
+        F[i] = row[-1] - y_hat
         if with_jacobian:
             J[i] = -net.jacobian_params(trace)
         h = trace.h_next
@@ -41,8 +41,8 @@ def _ref_ridge_rows(net, chunks):
     rows = []
     for chunk in chunks:
         h = net.h_init.copy()
-        for smp in chunk:
-            _, tr = net.forward(smp.x, h_prev=h)
+        for row in chunk:
+            _, tr = net.forward(row[:-1], h_prev=h)
             rows.append(np.concatenate([
                 tr.g * tr.phi, (1.0 - tr.g) * tr.h_next, [(1.0 - tr.g)]]))
             h = tr.h_next
@@ -51,7 +51,7 @@ def _ref_ridge_rows(net, chunks):
 
 def _ref_solve_output_layers(net, chunks, ridge=1e-6):
     A = _ref_ridge_rows(net, chunks)
-    b = np.asarray([smp.target for chunk in chunks for smp in chunk])
+    b = np.asarray([row[-1] for chunk in chunks for row in chunk])
     AtA = A.T @ A
     AtA += ridge * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
     sol = np.linalg.solve(AtA, A.T @ b)
@@ -74,11 +74,11 @@ def _ref_evaluate_teacher(net, samples):
     h = net.h_init.copy()
     pred = np.empty(len(samples))
     actual = np.empty(len(samples))
-    for i, smp in enumerate(samples):
-        y_hat, trace = net.forward(smp.x, h_prev=h)
+    for i, row in enumerate(samples):
+        y_hat, trace = net.forward(row[:-1], h_prev=h)
         h = trace.h_next
         pred[i] = y_hat
-        actual[i] = smp.target
+        actual[i] = row[-1]
     return pred, actual
 
 
@@ -87,12 +87,12 @@ def _ref_evaluate_deploy(net, samples):
     net.reset()
     pred = np.empty(len(samples))
     actual = np.empty(len(samples))
-    for i, smp in enumerate(samples):
-        x = offline.deploy_input(float(smp.x[0]), float(smp.x[1]))
+    for i, row in enumerate(samples):
+        x = offline.deploy_input(float(row[0]), float(row[1]))
         y_hat, trace = net.forward(x)
         net.h = trace.h_next
         pred[i] = y_hat
-        actual[i] = smp.target
+        actual[i] = row[-1]
     return pred, actual
 
 
@@ -146,9 +146,11 @@ def _rel(got, want):
 
 
 def _samples(rng, n):
-    """A chronological sequence of random samples."""
-    return [Sample(x=rng.uniform(-1.5, 1.5, size=3), target=float(rng.normal()))
-            for _ in range(n)]
+    """A chronological sequence of n random dataset rows [x, target]."""
+    rows = np.empty((n, 4))
+    for i in range(n):
+        rows[i, :3], rows[i, 3] = rng.uniform(-1.5, 1.5, size=3), rng.normal()
+    return rows
 
 
 def _nets(seed, n_cases):
@@ -168,8 +170,9 @@ def _chunks(samples, chunk_len):
     return [samples[i:i + chunk_len] for i in range(0, len(samples), chunk_len)]
 
 
-def _stacked(chunks, n_in=3):
-    return [offline._stack(chunk, n_in) for chunk in chunks]
+def _split(chunks):
+    """Each chunk of rows as the (inputs, targets) pair train_offline uses."""
+    return [(chunk[:, :-1], chunk[:, -1]) for chunk in chunks]
 
 
 # sequence lengths: one sample, short of a chunk, whole chunks, a last chunk
@@ -181,13 +184,12 @@ LENGTHS = (1, 5, 32, 64, 65, 70)
 
 def test_scanned_hidden_states_equal_the_h_next_chain_bit_for_bit():
     for net, rng in _nets(0, 40):
-        samples = _samples(rng, int(rng.integers(1, 60)))
-        X, _ = offline._stack(samples, net.n_in)
-        _, trace = offline._sequence_forward(net, X)
+        X = _samples(rng, int(rng.integers(1, 60)))[:, :-1]
+        H = offline._hidden_states(net, X)
         h = net.h_init.copy()
-        for i, smp in enumerate(samples):
-            assert trace.h_prev[i].tobytes() == h.tobytes()
-            h = net.forward(smp.x, h_prev=h)[1].h_next
+        for i, x in enumerate(X):
+            assert H[i].tobytes() == h.tobytes()
+            h = net.forward(x, h_prev=h)[1].h_next
 
 
 # -- chunk passes, ridge rows and the epoch loss -------------------------------
@@ -196,8 +198,8 @@ def test_scanned_hidden_states_equal_the_h_next_chain_bit_for_bit():
 def test_chunk_residuals_and_jacobian_match_the_loop(n):
     for net, rng in _nets(n, 12):
         for chunk in _chunks(_samples(rng, n), 32):
-            X, targets = offline._stack(chunk, net.n_in)
-            y_hat, trace = offline._sequence_forward(net, X)
+            X, targets = chunk[:, :-1], chunk[:, -1]
+            y_hat, trace = net.forward(X, h_prev=offline._hidden_states(net, X))
             F_ref, J_ref = _ref_chunk_pass(net, chunk, with_jacobian=True)
             assert _rel(targets - y_hat, F_ref) <= TOL
             assert _rel(-net.jacobian_params(trace), J_ref) <= TOL
@@ -207,10 +209,12 @@ def test_chunk_residuals_and_jacobian_match_the_loop(n):
 def test_ridge_rows_and_epoch_loss_match_the_loop(n):
     for net, rng in _nets(100 + n, 12):
         chunks = _chunks(_samples(rng, n), 32)
-        A = offline._ridge_rows(net, _stacked(chunks, net.n_in))
+        split = _split(chunks)
+        H = [offline._hidden_states(net, X) for X, _ in split]
+        A = offline._ridge_rows(net, split, H)
         assert A.shape == (n, net.m + net.p + 1)
         assert _rel(A, _ref_ridge_rows(net, chunks)) <= TOL
-        loss = offline._epoch_loss(net, _stacked(chunks, net.n_in))
+        loss = offline._epoch_loss(net, split, H)
         assert loss == pytest.approx(_ref_epoch_loss(net, chunks), rel=TOL)
 
 
@@ -238,7 +242,7 @@ def test_deploy_evaluation_leaves_the_network_state_alone():
 def test_empty_holdout_gives_two_empty_arrays():
     for net, _ in _nets(400, 4):
         for fn in (offline.evaluate_teacher, offline.evaluate_deploy):
-            pred, actual = fn(net, [])
+            pred, actual = fn(net, np.empty((0, 4)))
             assert pred.shape == actual.shape == (0,)
             assert pred.dtype == actual.dtype == np.float64
 
@@ -276,7 +280,23 @@ def test_short_training_run_matches_the_reference_checkpoint(
                                        rel=TRAIN_TOL)
 
 
+def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
+    """The hidden states scanned before the ridge solve also give the epoch-0
+    loss: the solve sets only output-side weights, which the scan does not
+    read, so rescanning after it changes no bit."""
+    for seed, (n, m, p) in enumerate(((120, 2, 2), (70, 3, 4), (200, 6, 6))):
+        data = offline.generate_dataset(n, seed=seed)
+        net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
+        net, report = offline.train_offline(net0, data, epochs=0,
+                                            chunk_len=32, seed=seed)
+        split = _split(_chunks(data.train(), 32))
+        H = [offline._hidden_states(net, X) for X, _ in split]
+        assert report.loss_curve == [offline._epoch_loss(net, split, H)]
+        H0 = [offline._hidden_states(net0, X) for X, _ in split]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(H, H0))
+
+
 def test_empty_training_set_still_raises():
     net, _ = next(_nets(500, 1))
     with pytest.raises(ValueError):
-        offline.train_offline(net, Dataset(samples=[], split=0))
+        offline.train_offline(net, Dataset(samples=np.empty((0, 4)), split=0))

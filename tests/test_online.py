@@ -1,16 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tgrbf import online
 from tgrbf.network import _ONLINE, _SEGMENTS, random_net
-from tgrbf.offline import Sample
-
-
-def _smp(priority):
-    return SimpleNamespace(err_priority=float(priority))
 
 
 def _net(seed=0, m=3, p=2):
@@ -59,60 +53,69 @@ def test_trigger_config_rejects_negative_cooldown():
 # -- buffer ------------------------------------------------------------------
 
 def test_buffer_eviction_example():
-    buf = online.ExperienceBuffer(capacity=2)
+    buf = online.ExperienceBuffer(capacity=2, n_in=1)
     for p in (5.0, 1.0, 9.0):
-        buf.push(_smp(p))
-    assert sorted(s.err_priority for s in buf.entries) == [1.0, 9.0]
+        buf.push(np.zeros(1), 0.0, p)
+    assert sorted(buf.priority[:len(buf)]) == [1.0, 9.0]
 
 
 def test_buffer_capacity_never_exceeded():
-    buf = online.ExperienceBuffer(capacity=3)
+    buf = online.ExperienceBuffer(capacity=3, n_in=1)
     for p in range(20):
-        buf.push(_smp(p))
+        buf.push(np.zeros(1), 0.0, float(p))
         assert len(buf) <= 3
 
 
 def test_buffer_fifo_tie_break():
-    buf = online.ExperienceBuffer(capacity=4)
-    for _ in range(4):
-        buf.push(_smp(1.0))
-    first = buf.entries[0]
-    buf.push(_smp(1.0))
-    # equal priorities: the oldest entry in the eviction window goes first
-    assert all(s is not first for s in buf.entries)
+    buf = online.ExperienceBuffer(capacity=4, n_in=1)
+    for i in range(5):
+        buf.push(np.zeros(1), float(i), 1.0)   # the target records the order
+    # equal priorities: the oldest row in the eviction window goes first
+    assert buf.targets[:len(buf)].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_buffer_validation():
     with pytest.raises(ValueError):
-        online.ExperienceBuffer(capacity=0)
+        online.ExperienceBuffer(capacity=0, n_in=1)
 
 
-def brute_force_push(entries, sample, capacity):
-    """Independent restatement of the policy: when full, drop the entry with
-    the smallest priority among the oldest ceil(N/4), oldest-first ties."""
-    entries = list(entries)
-    if len(entries) >= capacity:
-        window = math.ceil(len(entries) / 4)
+def brute_force_push(rows, row, capacity):
+    """Independent restatement of the policy on (x, target, priority) rows,
+    oldest first: when full, drop the row with the smallest priority among
+    the oldest ceil(N/4), oldest-first ties."""
+    rows = list(rows)
+    if len(rows) >= capacity:
+        window = math.ceil(len(rows) / 4)
         best = None
         for i in range(window):
-            if best is None or entries[i].err_priority < entries[best].err_priority:
+            if best is None or rows[i][2] < rows[best][2]:
                 best = i
-        entries.pop(best)
-    entries.append(sample)
-    return entries
+        rows.pop(best)
+    rows.append(row)
+    return rows
+
+
+def _assert_rows(buf, rows):
+    """The buffer holds exactly these (x, target, priority) rows, in order."""
+    n = len(buf)
+    assert n == len(rows)
+    assert buf.X[:n].tolist() == [list(x) for x, _, _ in rows]
+    assert buf.targets[:n].tolist() == [t for _, t, _ in rows]
+    assert buf.priority[:n].tolist() == [p for _, _, p in rows]
 
 
 def test_buffer_matches_brute_force_small():
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(50):
         cap = int(rng.integers(1, 8))
-        buf = online.ExperienceBuffer(capacity=cap)
+        buf = online.ExperienceBuffer(capacity=cap, n_in=2)
         ref = []
-        for _ in range(int(rng.integers(1, 30))):
-            s = _smp(float(rng.integers(0, 5)))
-            buf.push(s)
-            ref = brute_force_push(ref, s, cap)
-        assert [id(s) for s in buf.entries] == [id(s) for s in ref]
+        for i in range(int(rng.integers(1, 30))):
+            row = (rng.normal(size=2).tolist(), float(i),
+                   float(rng.integers(0, 5)))
+            buf.push(*row)
+            ref = brute_force_push(ref, row, cap)
+        _assert_rows(buf, ref)
 
 
 def test_priority_refresh_reaches_eviction():
@@ -121,54 +124,53 @@ def test_priority_refresh_reaches_eviction():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(3))
     residuals = [0.5, 0.1, 0.4, 0.05, 0.3, 0.2, 0.6, 0.7]
-    buf = online.ExperienceBuffer(capacity=len(residuals))
+    buf = online.ExperienceBuffer(capacity=len(residuals), n_in=net.n_in)
     for r in residuals:
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
         y, _ = net.forward(x, h_prev=online.replay_hidden_state(net, x))
-        buf.push(Sample(x=x, target=y + r, err_priority=10.0))
+        buf.push(x, y + r, 10.0)
     cfg = online.TriggerConfig(delta=0.01, batch_s=len(residuals))
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(0)))
     assert opt.maybe_update(0, 1.0) is not None
-    got = [s.err_priority for s in buf.entries]
-    assert got == pytest.approx(residuals, abs=1e-12)
-    ref = list(buf.entries)
+    assert buf.priority.tolist() == pytest.approx(residuals, abs=1e-12)
+    ref = list(zip(buf.X.tolist(), buf.targets.tolist(), buf.priority.tolist()))
     for _ in range(4):
-        s = Sample(x=np.zeros(net.n_in), target=0.0, err_priority=100.0)
-        buf.push(s)
-        ref = brute_force_push(ref, s, buf.capacity)
-        assert [id(e) for e in buf.entries] == [id(e) for e in ref]
+        row = ([0.0] * net.n_in, 0.0, 100.0)
+        buf.push(*row)
+        ref = brute_force_push(ref, row, buf.capacity)
+        _assert_rows(buf, ref)
     # stale priorities (all 10.0) would have evicted the four oldest
-    assert [round(e.err_priority, 6) for e in ref[:4]] == [0.5, 0.2, 0.6, 0.7]
+    assert [round(p, 6) for _, _, p in ref[:4]] == [0.5, 0.2, 0.6, 0.7]
 
 
 # -- batch sampling ----------------------------------------------------------
 
 def test_sample_batch_empty_buffer():
-    buf = online.ExperienceBuffer(4)
+    buf = online.ExperienceBuffer(4, n_in=3)
     rng = np.random.Generator(np.random.PCG64(0))
-    batch, idx = online.sample_batch(buf, 8, rng)
-    assert batch == [] and len(idx) == 0
+    assert len(online.sample_batch(buf, 8, rng)) == 0
+    # and an update with nothing to replay is skipped
+    opt = online.OnlineOptimizer(_net(), buf, online.TriggerConfig(), rng)
+    assert opt.maybe_update(0, 1.0) is None and opt.events == []
 
 
 def test_sample_batch_caps_at_buffer_size_distinct():
-    buf = online.ExperienceBuffer(10)
+    buf = online.ExperienceBuffer(10, n_in=1)
     for p in range(5):
-        buf.push(_smp(p))
+        buf.push(np.zeros(1), 0.0, float(p))
     rng = np.random.Generator(np.random.PCG64(0))
-    batch, idx = online.sample_batch(buf, 32, rng)
-    assert len(batch) == 5
-    assert len({id(s) for s in batch}) == 5
-    assert [id(buf.entries[i]) for i in idx] == [id(s) for s in batch]
+    idx = online.sample_batch(buf, 32, rng)
+    assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
 
 
 def test_sample_batch_seeded_reproducible():
-    buf = online.ExperienceBuffer(100)
+    buf = online.ExperienceBuffer(100, n_in=1)
     for p in range(50):
-        buf.push(_smp(p))
-    a, _ = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
-    b, _ = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
-    assert [id(s) for s in a] == [id(s) for s in b]
+        buf.push(np.zeros(1), 0.0, float(p))
+    a = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
+    b = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
+    assert len(a) == 8 and a.tolist() == b.tolist()
 
 
 # -- explicit step size ------------------------------------------------------
@@ -267,19 +269,20 @@ def test_linear_residual_loss_never_increases():
 def _perfect_buffer(net, n=6, seed=0):
     """Samples the network already fits exactly under the replay convention."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    buf = online.ExperienceBuffer(100)
+    buf = online.ExperienceBuffer(100, net.n_in)
     for _ in range(n):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
         h = online.replay_hidden_state(net, x)
         y, _ = net.forward(x, h_prev=h)
-        buf.push(Sample(x=x, target=y))
+        buf.push(x, y, 0.0)
     return buf
 
 
 def test_residuals_vanish_on_perfect_fit():
     net = _net()
     buf = _perfect_buffer(net)
-    F, J = online.residuals_and_jacobian(net, buf.entries)
+    n = len(buf)
+    F, J = online.residuals_and_jacobian(net, buf.X[:n], buf.targets[:n])
     assert np.max(np.abs(F)) < 1e-12
     assert J.shape == (len(buf), int(net.online_mask().sum()))
 
@@ -311,10 +314,10 @@ def test_perfect_batch_zero_momentum_leaves_net_unchanged():
 def test_update_respects_offline_mask():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(1))
-    buf = online.ExperienceBuffer(100)
+    buf = online.ExperienceBuffer(100, net.n_in)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(Sample(x=x, target=float(rng.normal())))
+        buf.push(x, float(rng.normal()), 0.0)
     # zero momentum keeps the stability cap positive so the step is nonzero
     cfg = online.TriggerConfig(delta=0.01, momentum_alpha=0.0)
     opt = online.OnlineOptimizer(net, buf, cfg,
@@ -328,7 +331,44 @@ def test_update_respects_offline_mask():
     assert np.array_equal(after[~mask], before[~mask])
     assert not np.array_equal(after[mask], before[mask])
     # priorities of the evaluated samples were refreshed to |residual|
-    assert any(s.err_priority > 0.0 for s in buf.entries)
+    assert np.any(buf.priority[:len(buf)] > 0.0)
+
+
+def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
+    """maybe_update replays exactly buf.X[idx] and buf.targets[idx] for the
+    positions idx its rng draws, and refreshes only their priorities."""
+    net = _net()
+    rng = np.random.Generator(np.random.PCG64(4))
+    buf = online.ExperienceBuffer(50, net.n_in)
+    for _ in range(40):
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 5.0)
+    seen = []
+
+    def spy(fn):
+        def wrapped(net_, X, targets):
+            seen.append((fn.__name__, X.copy(), targets.copy()))
+            return fn(net_, X, targets)
+        return wrapped
+
+    for name in ("residuals_and_jacobian", "batch_loss"):
+        monkeypatch.setattr(online, name, spy(getattr(online, name)))
+    cfg = online.TriggerConfig(delta=0.01, batch_s=8, momentum_alpha=0.0)
+    idx = online.sample_batch(buf, cfg.batch_s,
+                              np.random.Generator(np.random.PCG64(11)))
+    X, targets = buf.X[idx].copy(), buf.targets[idx].copy()
+    opt = online.OnlineOptimizer(net.copy(), buf, cfg,
+                                 np.random.Generator(np.random.PCG64(11)))
+    event = opt.maybe_update(0, 1.0)
+    assert event is not None and not event.rejected
+    assert [name for name, _, _ in seen] == ["residuals_and_jacobian",
+                                             "batch_loss"]
+    for _, X_seen, t_seen in seen:
+        assert X_seen.tobytes() == X.tobytes()
+        assert t_seen.tobytes() == targets.tobytes()
+    F, _ = online.residuals_and_jacobian(net, X, targets)
+    assert buf.priority[idx].tobytes() == np.abs(F).tobytes()
+    rest = np.setdiff1d(np.arange(len(buf)), idx)
+    assert np.all(buf.priority[rest] == 5.0)
 
 
 def test_online_segments_are_a_prefix_of_the_layout():
@@ -355,10 +395,11 @@ def test_online_segments_are_a_prefix_of_the_layout():
         assert net.to_vector().tobytes() == ref.to_vector().tobytes()
         assert isinstance(net.gate_b, float) and isinstance(net.out_b, float)
         # the sliced Jacobian is the masked one, bit for bit and row-major
-        batch = [Sample(x=rng.uniform(-1.0, 1.0, size=3),
-                        target=float(rng.normal())) for _ in range(5)]
-        _, J = online.residuals_and_jacobian(net, batch)
-        _, trace = online._replay(net, batch)
+        X, targets = np.empty((5, 3)), np.empty(5)
+        for i in range(5):
+            X[i], targets[i] = rng.uniform(-1.0, 1.0, size=3), rng.normal()
+        _, J = online.residuals_and_jacobian(net, X, targets)
+        _, trace = online._replay(net, X, targets)
         J_ref = -np.compress(mask, net.jacobian_params(trace), axis=1)
         assert J.flags.c_contiguous and J.tobytes() == J_ref.tobytes()
 
@@ -366,10 +407,10 @@ def test_online_segments_are_a_prefix_of_the_layout():
 def test_optimizer_cooldown_and_event_log():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(1))
-    buf = online.ExperienceBuffer(100)
+    buf = online.ExperienceBuffer(100, net.n_in)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(Sample(x=x, target=float(rng.normal())))
+        buf.push(x, float(rng.normal()), 0.0)
     cfg = online.TriggerConfig(delta=0.01, cooldown_steps=5)
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(2)))
