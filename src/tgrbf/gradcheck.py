@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .network import TgrbfNet, random_net
-from .network import _SEGMENTS
 
 __all__ = ["fd_jacobian_params", "fd_jacobian_input", "gradient_audit",
            "kink_clear"]
@@ -69,10 +68,7 @@ def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.nd
     The 2P copies W + step*e_i, then W - step*e_i, of the whole vector go
     through the oracle in blocks of at most FD_BLOCK_BYTES of parameters."""
     x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
-    prm = {name: np.asarray(getattr(net, name), dtype=float)
-           for name, _ in _SEGMENTS}
-    W = np.concatenate([a.ravel() for a in prm.values()])
-    ends = np.cumsum([a.size for a in prm.values()])[:-1]
+    W, layout = net.theta, net.layout()
     P = W.size
     rows = max(1, FD_BLOCK_BYTES // (W.itemsize * P))
     y = np.empty(2 * P)
@@ -80,15 +76,15 @@ def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.nd
         i = np.arange(a, min(a + rows, 2 * P))
         block = np.tile(W, (i.size, 1))
         block[np.arange(i.size), i % P] += np.where(i < P, step, -step)
-        y[i] = _value_only({name: seg.reshape((i.size,) + prm[name].shape)
-                            for name, seg in zip(prm, np.split(block, ends, axis=1))},
+        y[i] = _value_only({name: block[:, off:off + size].reshape(
+                                (i.size,) + getattr(net, name).shape)
+                            for name, off, size in layout},
                            x, h_prev, net.gate_frozen)
     return (y[:P] - y[P:]) / (2.0 * step)
 
 
 def fd_jacobian_input(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
-    prm = {name: np.asarray(getattr(net, name), dtype=float)
-           for name, _ in _SEGMENTS}
+    prm = {name: getattr(net, name) for name, _, _ in net.layout()}
     xs = _perturbed(np.asarray(x, dtype=float), step)
     yp, ym = np.split(_value_only(prm, xs, np.asarray(h_prev, dtype=float),
                                   net.gate_frozen), 2)

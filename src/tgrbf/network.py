@@ -14,7 +14,8 @@ are single-step: the dependence of h_prev on the parameters is truncated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,82 +106,82 @@ class ForwardTrace:
     xi: np.ndarray
 
 
-# Parameter segments, in flat-vector order.  The first block is the online
-# set (mask True); widths and LGRU biases are trained offline only.
-_SEGMENTS = [
-    ("rbf_w", True),
-    ("centers", True),
-    ("W_z", True),
-    ("W_r", True),
-    ("W_h", True),
-    ("gate_w", True),
-    ("gate_b", True),
-    ("out_w", True),
-    ("out_b", True),
-    ("widths", False),
-    ("b_z", False),
-    ("b_r", False),
-    ("b_h", False),
-]
-# The online segments lead, so the online set is a prefix of the flat vector.
-_ONLINE = [seg for seg in _SEGMENTS if seg[1]]
-# Segments held as a Python float on the network, as a length-1 array in
-# the flat vector and the checkpoint.
-_SCALARS = ("gate_b", "out_b")
+def _shapes(n_in: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter segment's shape, in flat-vector order (the two
+    biases are 0-d).  The online set leads; widths and LGRU biases, the
+    `_OFFLINE` segments, are trained offline only."""
+    k = n_in + p
+    return {"rbf_w": (m,), "centers": (m, n_in), "W_z": (p, k),
+            "W_r": (p, k), "W_h": (p, k), "gate_w": (k,), "gate_b": (),
+            "out_w": (p,), "out_b": (),
+            "widths": (m,), "b_z": (p,), "b_r": (p,), "b_h": (p,)}
 
 
-@dataclass
+_OFFLINE = ("widths", "b_z", "b_r", "b_h")
+# (name, online) for every segment, in flat-vector order
+_SEGMENTS = [(name, name not in _OFFLINE) for name in _shapes(0, 0, 0)]
+# attributes that are views of the flat parameter vector
+_VIEWS = frozenset(name for name, _ in _SEGMENTS) | {"theta"}
+
+
 class TgrbfNet:
     """Network weights plus the recurrent hidden state.
 
-    Value-semantics container: forward/jacobian methods never mutate the
-    instance; `advance` is the explicit stateful step used by run loops.
+    The weights are one flat vector, `theta`, in `_SEGMENTS` order.  Each
+    segment attribute (centers (m, n_in), widths (m,), ..., the 0-d biases
+    gate_b and out_b) is a view of it, and assigning a segment writes into
+    `theta`.  The online segments lead, so the online set is the prefix
+    `theta[:n_online]`.  `h` is the current hidden state (h_init by
+    default); `gate_frozen` forces g = 1, the pure-RBF ablation.
+
+    Forward/jacobian methods never mutate the instance; `advance` is the
+    explicit stateful step used by run loops.
     """
 
-    centers: np.ndarray     # (m, n_in)
-    widths: np.ndarray      # (m,), > 0
-    rbf_w: np.ndarray       # (m,)
-    W_z: np.ndarray         # (p, n_in + p)
-    b_z: np.ndarray
-    W_r: np.ndarray
-    b_r: np.ndarray
-    W_h: np.ndarray
-    b_h: np.ndarray
-    gate_w: np.ndarray      # (n_in + p,)
-    gate_b: float
-    out_w: np.ndarray       # (p,)
-    out_b: float
-    h_init: np.ndarray      # (p,)
-    h: np.ndarray = field(default=None)  # current hidden state
-    gate_frozen: bool = False            # force g = 1 (pure-RBF ablation)
-
-    def __post_init__(self):
-        if self.h is None:
-            self.h = self.h_init.copy()
-        if self.m < 1:
+    def __init__(self, *, h_init, h=None, gate_frozen=False, **segments):
+        h_init = np.asarray(h_init, dtype=float)
+        if np.ndim(segments.get("centers")) != 2 or h_init.ndim != 1:
+            raise ValueError("segment centers must be (m, n_in) and h_init (p,)")
+        m, n_in = np.shape(segments["centers"])
+        shapes = _shapes(n_in, m, h_init.size)
+        for name in {**shapes, **segments}:
+            got = np.shape(segments[name]) if name in segments else "none"
+            if got != shapes.get(name):
+                raise ValueError(f"segment {name} has shape {got}, "
+                                 f"expected {shapes.get(name)}")
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        theta = np.concatenate([np.ravel(segments[name]) for name in shapes],
+                               dtype=float)
+        for (name, shape), seg in zip(shapes.items(),
+                                      np.split(theta, np.cumsum(sizes)[:-1])):
+            self.__dict__[name] = seg.reshape(shape)
+        self.__dict__["theta"] = theta
+        # the segment shapes are fixed: assignment keeps them
+        self.n_in, self.m, self.p = n_in, m, h_init.size
+        self.n_online = sum(size for (_, online), size in zip(_SEGMENTS, sizes)
+                            if online)
+        self.h_init = h_init
+        self.h = h_init.copy() if h is None else h
+        self.gate_frozen = gate_frozen
+        if m < 1:
             raise ValueError("need at least one RBF node")
-        if np.any(self.widths <= 0.0):
+        if (self.widths <= 0.0).any():
             raise ValueError("all kernel widths must be positive")
-        if not all(np.isfinite(np.asarray(v, dtype=float)).all()
-                   for v in (*self._segment_arrays().values(), self.h_init)):
+        if not (np.isfinite(theta).all() and np.isfinite(h_init).all()):
             raise ValueError("network parameters must be finite")
 
-    # -- dimensions ---------------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def n_in(self) -> int:
-        return self.centers.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.h_init.shape[0]
+    def __setattr__(self, name, value):
+        """A segment (or theta) is assigned by writing into theta."""
+        if name not in _VIEWS:
+            self.__dict__[name] = value
+        elif np.shape(value) != self.__dict__[name].shape:
+            raise ValueError(f"{name} has shape {self.__dict__[name].shape}, "
+                             f"got {np.shape(value)}")
+        else:
+            self.__dict__[name][...] = value
 
     def count_parameters(self) -> int:
-        return sum(a.size for a in self._segment_arrays().values())
+        return self.theta.size
 
     # -- forward ------------------------------------------------------------
 
@@ -212,11 +213,11 @@ class TgrbfNet:
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, zeta, pre_z, pre_r, z, r, xi, n = lgru_step(
             x, h_prev, self.W_z, self.b_z, self.W_r, self.b_r, self.W_h, self.b_h)
-        y_gru = _item(h_next @ self.out_w + self.out_b)
+        y_gru = _item(h_next @ self.out_w + float(self.out_b))
         if self.gate_frozen:
             g = _item(np.ones(x.shape[:-1]))
         else:
-            g = _item(sigmoid(zeta @ self.gate_w + self.gate_b))
+            g = _item(sigmoid(zeta @ self.gate_w + float(self.gate_b)))
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                              pre_z=pre_z, pre_r=pre_r, z=z, r=r, n=n,
@@ -282,61 +283,38 @@ class TgrbfNet:
 
     # -- flat parameter vector ----------------------------------------------
 
-    def _segment_arrays(self) -> dict[str, np.ndarray]:
-        """Every segment as an array, in layout order (scalars as (1,))."""
-        arrs = {name: getattr(self, name) for name, _ in _SEGMENTS}
-        for name in _SCALARS:
-            arrs[name] = np.atleast_1d(arrs[name])
-        return arrs
-
     def layout(self) -> list[tuple[str, int, int]]:
         """Ordered (name, offset, length) for every parameter segment."""
         out, off = [], 0
-        arrs = self._segment_arrays()
         for name, _ in _SEGMENTS:
-            size = arrs[name].size
+            size = getattr(self, name).size
             out.append((name, off, size))
             off += size
         return out
 
     def to_vector(self) -> np.ndarray:
-        return self._vector(_SEGMENTS)
-
-    def _vector(self, segments: list) -> np.ndarray:
-        arrs = self._segment_arrays()
-        return np.concatenate([arrs[name].ravel() for name, _ in segments])
+        return self.theta.copy()
 
     def from_vector(self, vec: np.ndarray) -> None:
         """Load parameters from a flat vector (inverse of to_vector)."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.count_parameters(),):
-            raise ValueError(f"expected vector of length {self.count_parameters()}, "
+        if vec.shape != self.theta.shape:
+            raise ValueError(f"expected vector of length {self.theta.size}, "
                              f"got {vec.shape}")
-        self._load(vec, _SEGMENTS)
-        if np.any(self.widths <= 0.0):
+        # the widths lead the offline segments
+        if (vec[self.n_online:self.n_online + self.m] <= 0.0).any():
             raise ValueError("all kernel widths must be positive")
-
-    def _load(self, vec: np.ndarray, segments: list) -> None:
-        """Set the leading `segments` of the layout from the flat vec."""
-        arrs = self._segment_arrays()
-        off = 0
-        for name, _ in segments:
-            arr = arrs[name]
-            chunk = vec[off:off + arr.size].reshape(arr.shape)
-            off += arr.size
-            setattr(self, name, float(chunk[0]) if name in _SCALARS else chunk.copy())
+        self.theta[:] = vec
 
     def online_mask(self) -> np.ndarray:
         """Boolean mask over the flat vector selecting the online-updated
         segments (RBF weights/centers, LGRU matrices, gate, readout)."""
-        arrs = self._segment_arrays()
-        return np.repeat([online for _, online in _SEGMENTS],
-                         [arrs[name].size for name, _ in _SEGMENTS])
+        return np.arange(self.theta.size) < self.n_online
 
     def copy(self) -> "TgrbfNet":
-        kw = {k: (v.copy() if isinstance(v, np.ndarray) else v)
-              for k, v in self.__dict__.items()}
-        return TgrbfNet(**kw)
+        return TgrbfNet(**{name: getattr(self, name) for name, _ in _SEGMENTS},
+                        h_init=self.h_init.copy(), h=self.h.copy(),
+                        gate_frozen=self.gate_frozen)
 
     # -- checkpoint ---------------------------------------------------------
 
@@ -344,8 +322,8 @@ class TgrbfNet:
         doc = {
             "format": "tgrbf-checkpoint-v1",
             "n_in": self.n_in, "m": self.m, "p": self.p,
-            "segments": {name: np.asarray(arr, dtype=float).tolist()
-                         for name, arr in self._segment_arrays().items()},
+            "segments": {name: np.atleast_1d(getattr(self, name)).tolist()
+                         for name, _ in _SEGMENTS},
             "h_init": self.h_init.tolist(),
             "gate_frozen": self.gate_frozen,
         }
@@ -358,12 +336,20 @@ class TgrbfNet:
             doc = json.load(fh)
         if doc.get("format") != "tgrbf-checkpoint-v1":
             raise ValueError(f"not a network checkpoint: {path}")
-        seg = {name: np.asarray(doc["segments"][name], dtype=float)
-               for name, _ in _SEGMENTS}
-        for name in _SCALARS:
-            seg[name] = float(seg[name][0])
-        return cls(**seg, h_init=np.asarray(doc["h_init"], dtype=float),
-                   gate_frozen=bool(doc.get("gate_frozen", False)))
+        if not isinstance(doc.get("gate_frozen", False), bool):
+            raise ValueError(f"{path}: gate_frozen must be true or false")
+        try:
+            shapes = _shapes(doc["n_in"], doc["m"], doc["p"])
+            seg = {name: np.asarray(doc["segments"][name], dtype=float)
+                   for name in shapes}
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing {exc}") from None
+        # a stored scalar becomes 0-d; the constructor names a wrong size
+        return cls(**{name: a.reshape(shapes[name])
+                      if a.size == math.prod(shapes[name]) else a
+                      for name, a in seg.items()},
+                   h_init=doc.get("h_init"),
+                   gate_frozen=doc.get("gate_frozen", False))
 
 
 def random_net(n_in: int, m: int, p: int, rng: np.random.Generator,

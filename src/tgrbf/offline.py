@@ -169,10 +169,7 @@ def _solve_output_layers(net: TgrbfNet, chunks: list, H: list,
     # mutually-cancelling weights that do not generalize
     AtA += ridge * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
     sol = np.linalg.solve(AtA, A.T @ b)
-    m, p = net.rbf_w.size, net.out_w.size
-    net.rbf_w = sol[:m].copy()
-    net.out_w = sol[m:m + p].copy()
-    net.out_b = float(sol[-1])
+    net.rbf_w, net.out_w, net.out_b = sol[:net.m], sol[net.m:-1], sol[-1]
 
 
 def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
@@ -201,7 +198,6 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
     rng = np.random.Generator(np.random.PCG64(seed))
     chunks = [(train[i:i + chunk_len, :-1], train[i:i + chunk_len, -1])
               for i in range(0, len(train), chunk_len)]
-    w_off, w_size = {n: (o, size) for n, o, size in net.layout()}["widths"]
 
     # the ridge solve sets only rbf_w, out_w and out_b, which the hidden
     # states do not depend on: one scan serves it and the epoch-0 loss
@@ -226,12 +222,10 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
             if W_next is None:
                 W_prev = W.copy()     # reject step, drop momentum
                 continue
+            net.theta[:] = W_next
             # keep kernel widths above the positivity floor
-            seg = W_next[w_off:w_off + w_size]
-            np.clip(seg, WIDTH_FLOOR, None, out=seg)
-            W_prev = W
-            W = W_next
-            net.from_vector(W)
+            np.clip(net.widths, WIDTH_FLOOR, None, out=net.widths)
+            W_prev, W = W, net.to_vector()
         H = [_hidden_states(net, X) for X, _ in chunks]
         loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:

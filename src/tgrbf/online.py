@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _ONLINE, lgru_step
+from .network import lgru_step
 
 __all__ = [
     "TriggerConfig", "UpdateEvent", "ExperienceBuffer", "OnlineOptimizer",
@@ -134,8 +134,7 @@ def residuals_and_jacobian(net, X: np.ndarray,
     restricted to the online-masked parameter columns."""
     F, trace = _replay(net, X, targets)
     # the online columns are a prefix; negating the slice copies it row-major
-    n = sum(np.size(getattr(net, name)) for name, _ in _ONLINE)
-    return F, -net.jacobian_params(trace)[:, :n]
+    return F, -net.jacobian_params(trace)[:, :net.n_online]
 
 
 def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
@@ -192,7 +191,7 @@ class OnlineOptimizer:
         self.buf = buf
         self.cfg = cfg
         self.rng = rng
-        self.W_prev_masked = net._vector(_ONLINE)
+        self.W_prev_masked = net.theta[:net.n_online].copy()
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
 
@@ -221,22 +220,22 @@ class OnlineOptimizer:
             eta0, J, self.cfg.momentum_alpha, self.cfg.eta_max)
         hit = hit or degenerate
 
-        Wm = self.net._vector(_ONLINE)
+        Wm = self.net.theta[:self.net.n_online]   # a view, written below
         Wm_next = momentum_update(Wm, self.W_prev_masked, grad, eta,
                                   self.cfg.momentum_alpha)
+        # the parameters before this step; a rejected step keeps them, which
+        # drops the stale momentum
+        self.W_prev_masked = Wm.copy()
         event = UpdateEvent(k=k, eta=eta, loss_before=loss_before,
                             loss_after=loss_before,
                             grad_norm=float(np.linalg.norm(grad)),
                             safeguard_hit=hit, sigma_min=s_min,
                             sigma_max=s_max, eta_explicit=eta_explicit)
         if Wm_next is None:
-            # rejected step: keep parameters, drop stale momentum
-            self.W_prev_masked = Wm.copy()
             event.rejected = True
             event.eta = 0.0
         else:
-            self.net._load(Wm_next, _ONLINE)
-            self.W_prev_masked = Wm
+            Wm[:] = Wm_next
             event.loss_after = batch_loss(self.net, X, targets)
 
         # refresh replay priorities of the evaluated samples

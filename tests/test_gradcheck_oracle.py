@@ -3,11 +3,12 @@
 The oracle evaluates the perturbed copies of the whole parameter vector in
 blocks of rows (and all perturbed inputs in one call).  The references below
 are the scalar oracle: one forward evaluation per perturbed element, on a
-copy of the network with the scalar biases boxed so that every segment can
-be perturbed in place; and the per-segment oracle, one call per parameter
-segment.  The tests check that the blocked oracle agrees with both, that its
-blocks and peak memory stay within the block budget, that it never calls the
-network kernel it audits, and that the audit still catches a wrong Jacobian.
+copy of the network, whose segments (the 0-d biases too) are views of its
+parameter vector and so can be perturbed in place; and the per-segment
+oracle, one call per parameter segment.  The tests check that the blocked
+oracle agrees with both, that its blocks and peak memory stay within the
+block budget, that it never calls the network kernel it audits, and that
+the audit still catches a wrong Jacobian.
 """
 
 import math
@@ -54,17 +55,10 @@ def _ref_value(net, x, h_prev):
     return g * y_rbf + (1.0 - g) * y_gru
 
 
-def _boxed(net):
-    work = net.copy()
-    work.gate_b = np.atleast_1d(float(work.gate_b))
-    work.out_b = np.atleast_1d(float(work.out_b))
-    return work
-
-
 def _ref_segment(net, name, x, h_prev, step=FD_STEP):
     """Per-element perturbed parameter values and output values, in the
     order + for every element, then - for every element."""
-    work = _boxed(net)
+    work = net.copy()
     flat = getattr(work, name).reshape(-1)
     rows, values = [], []
     for sign in (1.0, -1.0):
@@ -78,7 +72,7 @@ def _ref_segment(net, name, x, h_prev, step=FD_STEP):
 
 
 def _ref_fd_params(net, x, h_prev, step=FD_STEP):
-    work = _boxed(net)
+    work = net.copy()
     out = []
     for name, _ in _SEGMENTS:
         flat = getattr(work, name).reshape(-1)

@@ -262,6 +262,32 @@ def test_cli_disturbance_seed_is_not_a_config_key(tmp_path, capsys):
     assert _cli_exit(tmp_path, capsys, "run", doc) == 2
 
 
+@pytest.mark.parametrize("change, name", [
+    (lambda doc: doc["segments"].update(gate_b=[]), "gate_b"),
+    (lambda doc: doc["segments"].pop("W_h"), "W_h"),
+    (lambda doc: doc["segments"].update(gate_b=[0.5, 0.7]), "gate_b"),
+    (lambda doc: doc["segments"]["out_w"].pop(), "out_w"),
+    (lambda doc: doc.update(gate_frozen="no"), "gate_frozen"),
+], ids=["gate_b-empty", "W_h-missing", "gate_b-two-values", "out_w-short",
+        "gate_frozen-string"])
+def test_cli_malformed_checkpoint_exit_2(tmp_path, capsys, change, name):
+    """A checkpoint entry that is missing, of the wrong shape or of the
+    wrong JSON type is a validation error whose one-line message names it.
+    Before, these exited 1 with a traceback, or 0 with gate_b[0] used."""
+    doc = json.loads((ROOT / "artifacts" / "network.json").read_text())
+    change(doc)
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"checkpoint": str(ckpt)},
+                               "duration_s": 0.01}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text", [
     ("run", '{"seed": 1e999}'),
     ("identify", '{"n_samples": 1e999}'),

@@ -179,6 +179,47 @@ def test_layout_covers_vector():
     assert sum(size for _, _, size in layout) == net.count_parameters()
 
 
+def test_segments_are_views_of_the_parameter_vector():
+    """theta is the only storage: segment assignments, from_vector and
+    prefix writes all show through, and copy() shares none of it."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    for gate_frozen in (False, True):
+        net = _small_net(seed=int(rng.integers(100)), m=4, p=5)
+        net.gate_frozen = gate_frozen
+        layout = net.layout()
+        for name, off, size in layout:
+            value = 0.5 + rng.uniform(size=getattr(net, name).shape)
+            setattr(net, name, value)
+            assert np.array_equal(net.to_vector()[off:off + size],
+                                  np.ravel(value)), name
+        vec = net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size)
+        net.from_vector(vec)
+        for name, off, size in layout:
+            assert np.array_equal(np.ravel(getattr(net, name)),
+                                  vec[off:off + size]), name
+        net.theta[:net.n_online] = rng.normal(size=net.n_online)
+        for name, off, size in layout:
+            assert np.array_equal(np.ravel(getattr(net, name)),
+                                  net.theta[off:off + size]), name
+        other = net.copy()
+        assert np.array_equal(other.to_vector(), net.theta)
+        for name in ["theta", "h", "h_init"] + [n for n, _, _ in layout]:
+            assert not np.shares_memory(getattr(other, name), net.theta), name
+            assert not np.shares_memory(getattr(other, name),
+                                        getattr(net, name)), name
+        before = net.to_vector()
+        for name, value in (("rbf_w", np.zeros(net.m + 1)),
+                            ("centers", np.zeros((net.n_in, net.m))),
+                            ("gate_b", [0.5]), ("out_b", np.zeros(1)),
+                            ("theta", np.zeros(net.theta.size - 1))):
+            with pytest.raises(ValueError, match=name):
+                setattr(net, name, value)
+        assert np.array_equal(net.theta, before)
+        # single-sample forward still gives Python floats
+        y, tr = net.forward(rng.uniform(-1.0, 1.0, size=net.n_in))
+        assert all(type(v) is float for v in (y, tr.y_rbf, tr.y_gru, tr.g))
+
+
 def test_checkpoint_round_trip(tmp_path):
     net = _small_net()
     net.gate_frozen = True

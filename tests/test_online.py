@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tgrbf import online
-from tgrbf.network import _ONLINE, _SEGMENTS, random_net
+from tgrbf.network import _SEGMENTS, random_net
 
 
 def _net(seed=0, m=3, p=2):
@@ -373,27 +373,32 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
 
 def test_online_segments_are_a_prefix_of_the_layout():
     """The update reads and writes the online parameters, and slices their
-    Jacobian columns, as the leading segments of the flat vector."""
-    assert _SEGMENTS[:len(_ONLINE)] == _ONLINE
-    assert all(flag for _, flag in _ONLINE)
-    assert not any(flag for _, flag in _SEGMENTS[len(_ONLINE):])
+    Jacobian columns, as the prefix theta[:n_online] of the flat vector."""
+    flags = [flag for _, flag in _SEGMENTS]
+    assert flags == sorted(flags, reverse=True) and any(flags) and not all(flags)
     rng = np.random.Generator(np.random.PCG64(3))
     for seed, (m, p) in enumerate(((1, 1), (3, 2), (6, 6), (8, 8))):
         net = _net(seed, m, p)
         mask = net.online_mask()
         n = int(mask.sum())
+        assert n == net.n_online
         assert mask[:n].all() and not mask[n:].any()
+        # each online segment is a view into the prefix, the others past it
+        for name, flag in _SEGMENTS:
+            seg = getattr(net, name)
+            assert np.shares_memory(seg, net.theta[:n]) is flag, name
+            assert np.shares_memory(seg, net.theta[n:]) is not flag, name
         W = net.to_vector()
-        assert net._vector(_ONLINE).tobytes() == W[:n].tobytes()
-        # loading the prefix is the masked round trip through from_vector
+        assert net.theta[:n].tobytes() == W[:n].tobytes()
+        # writing the prefix is the masked round trip through from_vector
         new = W[:n] + rng.normal(size=n)
         ref = net.copy()
         W_ref = W.copy()
         W_ref[mask] = new
         ref.from_vector(W_ref)
-        net._load(new, _ONLINE)
+        net.theta[:n] = new
         assert net.to_vector().tobytes() == ref.to_vector().tobytes()
-        assert isinstance(net.gate_b, float) and isinstance(net.out_b, float)
+        assert net.gate_b.shape == () and net.out_b.shape == ()
         # the sliced Jacobian is the masked one, bit for bit and row-major
         X, targets = np.empty((5, 3)), np.empty(5)
         for i in range(5):
@@ -402,6 +407,36 @@ def test_online_segments_are_a_prefix_of_the_layout():
         _, trace = online._replay(net, X, targets)
         J_ref = -np.compress(mask, net.jacobian_params(trace), axis=1)
         assert J.flags.c_contiguous and J.tobytes() == J_ref.tobytes()
+
+
+def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
+    """The update writes the online prefix of theta in place; W_prev must be
+    a copy of the parameters before that write, not a view that follows it."""
+    net = _net(4, 3, 2)
+    rng = np.random.Generator(np.random.PCG64(5))
+    buf = online.ExperienceBuffer(50, net.n_in)
+    for _ in range(20):
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+    calls, step = [], online.momentum_update
+
+    def spy(W, W_prev, grad, eta, alpha):
+        W_next = step(W, W_prev, grad, eta, alpha)
+        calls.append((W.copy(), W_prev.copy(), W_next.copy()))
+        return W_next
+
+    monkeypatch.setattr(online, "momentum_update", spy)
+    # one-row batches, so that the safeguard leaves the step nonzero
+    opt = online.OnlineOptimizer(net, buf, online.TriggerConfig(
+        delta=0.01, batch_s=1, momentum_alpha=0.1),
+        np.random.Generator(np.random.PCG64(6)))
+    W0 = net.theta[:net.n_online].copy()
+    for k in range(3):
+        assert not opt.maybe_update(k, 1.0).rejected
+    assert np.array_equal(calls[0][0], W0) and np.array_equal(calls[0][1], W0)
+    for (W, _, W_next), (W_after, W_prev_after, _) in zip(calls, calls[1:]):
+        assert np.array_equal(W_after, W_next)
+        assert np.array_equal(W_prev_after, W) and not np.array_equal(W, W_next)
+    assert np.array_equal(net.theta[:net.n_online], calls[-1][2])
 
 
 def test_optimizer_cooldown_and_event_log():
