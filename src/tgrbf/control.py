@@ -65,7 +65,10 @@ def adapt_gains(g: GainState, e: float, dym_du: float) -> GainState:
     k2 = g.k2 + g.eta2 * e * sig_alpha(e, g.alpha_pow) * dym_du
     k1 = min(max(k1, g.k1_min), g.k1_max)
     k2 = min(max(k2, g.k2_min), g.k2_max)
-    return replace(g, k1=k1, k2=k2)
+    # a copy with the new gains; the other fields are g's, already checked
+    out = object.__new__(type(g))
+    out.__dict__.update(g.__dict__, k1=k1, k2=k2)
+    return out
 
 
 @dataclass

@@ -22,7 +22,7 @@ FD_BLOCK_BYTES = 512 * 1024   # stacked parameters per oracle call
 def kink_clear(trace, margin: float = KINK_MARGIN) -> bool:
     """True when every clamp pre-activation is at least `margin` away from
     both kinks (0 and 1)."""
-    pre = np.concatenate([trace.pre_z, trace.pre_r])
+    pre = trace.pre_zr
     return bool(np.all(np.minimum(np.abs(pre), np.abs(pre - 1.0)) >= margin))
 
 

@@ -9,6 +9,11 @@ where the gate g is a sigmoid of an affine map of [x; h_prev].  The GRU
 branch is "linearized": the usual sigmoid gates are replaced by hard clamps
 to [0, 1] and the candidate state is affine (no tanh).  Parameter gradients
 are single-step: the dependence of h_prev on the parameters is truncated.
+
+The update and reset gates are stacked, as in cuDNN's GRU layout: one
+affine map of [x; h_prev] by W_zr = [W_z; W_r] (2p, n_in + p) and one clamp
+give both, and one mask gives both derivatives.  dy/dx is one product of
+the first-layer terms with the x-columns of [W_z; W_r; W_h; gate_w].
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def _item(a):
     return float(a) if a.ndim == 0 else a
 
 
+def _col(v) -> np.ndarray:
+    """A per-sample scalar as a column: (1,) for a float, (s, 1) for (s,)."""
+    return np.asarray(v)[..., None]
+
+
 def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
 
@@ -59,27 +69,29 @@ def rbf_forward(x, centers, widths, weights):
     if (widths <= 0.0).any():
         raise ValueError("all kernel widths must be positive")
     d2 = ((centers - x[..., None, :]) ** 2).sum(axis=-1)
-    phi = np.exp(-d2 / (2.0 * widths ** 2))
+    phi = np.exp(d2 / (-2.0 * widths ** 2))
     return _item(phi @ weights), phi
 
 
-def lgru_step(x, h_prev, W_z, b_z, W_r, b_r, W_h, b_h):
+def lgru_step(x, h_prev, W_zr, b_zr, W_h, b_h):
     """One linearized-GRU step.  Returns h_next and the intermediates
-    (zeta, pre_z, pre_r, z, r, xi, n) that the Jacobians reuse.
+    (zeta, pre_zr, zr, xi, n) that the Jacobians reuse.
 
-    pre_z/pre_r are the affine pre-activations; z and r are their hard
-    clamps to [0, 1].  The candidate state n is affine in [x; r*h_prev].
-    x and h_prev may carry a common leading batch axis.
+    W_zr = [W_z; W_r] and b_zr = [b_z; b_r] stack the update and reset
+    gates: pre_zr = [pre_z, pre_r] are their affine pre-activations and
+    zr = [z, r] their hard clamps to [0, 1].  The candidate state n is
+    affine in [x; r*h_prev].  x and h_prev may carry a common leading batch
+    axis.
     """
     zeta = np.concatenate([x, h_prev], axis=-1)
-    pre_z = zeta @ W_z.T + b_z
-    pre_r = zeta @ W_r.T + b_r
-    z = pre_z.clip(0.0, 1.0)
-    r = pre_r.clip(0.0, 1.0)
-    xi = np.concatenate([x, r * h_prev], axis=-1)
+    pre_zr = zeta @ W_zr.T + b_zr
+    zr = pre_zr.clip(0.0, 1.0)
+    p = h_prev.shape[-1]
+    z = zr[..., :p]
+    xi = np.concatenate([x, zr[..., p:] * h_prev], axis=-1)
     n = xi @ W_h.T + b_h
     h_next = (1.0 - z) * h_prev + z * n
-    return h_next, zeta, pre_z, pre_r, z, r, xi, n
+    return h_next, zeta, pre_zr, zr, xi, n
 
 
 @dataclass
@@ -87,16 +99,16 @@ class ForwardTrace:
     """All intermediates of one forward pass, for Jacobian reuse.
 
     For a batch every field carries the leading batch axis, and the scalar
-    fields (y_rbf, y_gru, g, y) are (s,) arrays instead of floats."""
+    fields (y_rbf, y_gru, g, y) are (s,) arrays instead of floats.  pre_zr
+    and zr hold both gates; pre_z, pre_r, z and r are views of their
+    halves."""
 
     x: np.ndarray
     h_prev: np.ndarray
     phi: np.ndarray
     y_rbf: float | np.ndarray
-    pre_z: np.ndarray
-    pre_r: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
+    pre_zr: np.ndarray
+    zr: np.ndarray
     n: np.ndarray
     h_next: np.ndarray
     y_gru: float | np.ndarray
@@ -104,6 +116,22 @@ class ForwardTrace:
     y: float | np.ndarray
     zeta: np.ndarray
     xi: np.ndarray
+
+    @property
+    def pre_z(self) -> np.ndarray:
+        return self.pre_zr[..., :self.n.shape[-1]]
+
+    @property
+    def pre_r(self) -> np.ndarray:
+        return self.pre_zr[..., self.n.shape[-1]:]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.zr[..., :self.n.shape[-1]]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.zr[..., self.n.shape[-1]:]
 
 
 def _shapes(n_in: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
@@ -120,8 +148,9 @@ def _shapes(n_in: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
 _OFFLINE = ("widths", "b_z", "b_r", "b_h")
 # (name, online) for every segment, in flat-vector order
 _SEGMENTS = [(name, name not in _OFFLINE) for name in _shapes(0, 0, 0)]
-# attributes that are views of the flat parameter vector
-_VIEWS = frozenset(name for name, _ in _SEGMENTS) | {"theta"}
+# attributes that are views of the flat parameter vector: the segments and
+# the stacked first-layer views W_zr, b_zr and W_x
+_VIEWS = frozenset(name for name, _ in _SEGMENTS) | {"theta", "W_zr", "b_zr", "W_x"}
 
 
 class TgrbfNet:
@@ -131,8 +160,11 @@ class TgrbfNet:
     segment attribute (centers (m, n_in), widths (m,), ..., the 0-d biases
     gate_b and out_b) is a view of it, and assigning a segment writes into
     `theta`.  The online segments lead, so the online set is the prefix
-    `theta[:n_online]`.  `h` is the current hidden state (h_init by
-    default); `gate_frozen` forces g = 1, the pure-RBF ablation.
+    `theta[:n_online]`.  W_z, W_r, W_h and gate_w are adjacent, and so are
+    b_z and b_r, which gives three more views: W_zr = [W_z; W_r] (2p, k),
+    b_zr = [b_z; b_r] and W_x, the x-columns of [W_z; W_r; W_h; gate_w]
+    (3p + 1, n_in), with k = n_in + p.  `h` is the current hidden state
+    (h_init by default); `gate_frozen` forces g = 1, the pure-RBF ablation.
 
     Forward/jacobian methods never mutate the instance; `advance` is the
     explicit stateful step used by run loops.
@@ -150,14 +182,20 @@ class TgrbfNet:
                 raise ValueError(f"segment {name} has shape {got}, "
                                  f"expected {shapes.get(name)}")
         sizes = [math.prod(shape) for shape in shapes.values()]
+        bounds = np.cumsum([0] + sizes).tolist()
         theta = np.concatenate([np.ravel(segments[name]) for name in shapes],
                                dtype=float)
         for (name, shape), seg in zip(shapes.items(),
-                                      np.split(theta, np.cumsum(sizes)[:-1])):
+                                      np.split(theta, bounds[1:-1])):
             self.__dict__[name] = seg.reshape(shape)
         self.__dict__["theta"] = theta
+        # the stacked views: [W_z; W_r; W_h; gate_w] and [b_z; b_r] are adjacent
+        off, p = dict(zip(shapes, bounds)), h_init.size
+        first = theta[off["W_z"]:off["gate_b"]].reshape(3 * p + 1, n_in + p)
+        self.__dict__.update(W_zr=first[:2 * p], W_x=first[:, :n_in],
+                             b_zr=theta[off["b_z"]:off["b_h"]])
         # the segment shapes are fixed: assignment keeps them
-        self.n_in, self.m, self.p = n_in, m, h_init.size
+        self.n_in, self.m, self.p = n_in, m, p
         self.n_online = sum(size for (_, online), size in zip(_SEGMENTS, sizes)
                             if online)
         self.h_init = h_init
@@ -171,7 +209,8 @@ class TgrbfNet:
             raise ValueError("network parameters must be finite")
 
     def __setattr__(self, name, value):
-        """A segment (or theta) is assigned by writing into theta."""
+        """A segment, theta or a stacked view is assigned by writing into
+        theta."""
         if name not in _VIEWS:
             self.__dict__[name] = value
         elif np.shape(value) != self.__dict__[name].shape:
@@ -198,7 +237,7 @@ class TgrbfNet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        if x.ndim == 2:
+        if x.ndim == 2 and h_prev.shape != (x.shape[0], self.p):
             h_prev = np.broadcast_to(h_prev, (x.shape[0], self.p))
         return x, h_prev
 
@@ -211,8 +250,8 @@ class TgrbfNet:
         array and every trace field carries the batch axis."""
         x, h_prev = self._inputs(x, h_prev)
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
-        h_next, zeta, pre_z, pre_r, z, r, xi, n = lgru_step(
-            x, h_prev, self.W_z, self.b_z, self.W_r, self.b_r, self.W_h, self.b_h)
+        h_next, zeta, pre_zr, zr, xi, n = lgru_step(
+            x, h_prev, self.W_zr, self.b_zr, self.W_h, self.b_h)
         y_gru = _item(h_next @ self.out_w + float(self.out_b))
         if self.gate_frozen:
             g = _item(np.ones(x.shape[:-1]))
@@ -220,7 +259,7 @@ class TgrbfNet:
             g = _item(sigmoid(zeta @ self.gate_w + float(self.gate_b)))
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
-                             pre_z=pre_z, pre_r=pre_r, z=z, r=r, n=n,
+                             pre_zr=pre_zr, zr=zr, n=n,
                              h_next=h_next, y_gru=y_gru, g=g, y=y,
                              zeta=zeta, xi=xi)
         return y, trace
@@ -235,51 +274,48 @@ class TgrbfNet:
 
     def _x_terms(self, trace: ForwardTrace):
         """The factors of dy/dW that x also reaches: diff = x - centers, the
-        RBF factor a = g*rbf_w*phi, dy/dcenters and dy/d(b_z, b_r, b_h,
-        gate_b).  Both Jacobians are built from them."""
-        g = np.asarray(trace.g)
-        q = (1.0 - g)[..., None] * self.out_w           # dy/dh_next
+        RBF factor a = g*rbf_w*phi and b = a/widths^2 (dy/dcenters is
+        b*diff), c_zr = dy/d(b_z, b_r), qz = dy/db_h and s_g = dy/dgate_b.
+        Both Jacobians are built from them."""
+        g = trace.g
+        q = _col(1.0 - g) * self.out_w                  # dy/dh_next
         diff = trace.x[..., None, :] - self.centers     # (..., m, n_in)
-        a = g[..., None] * self.rbf_w * trace.phi
-        d_centers = (a / self.widths ** 2)[..., None] * diff
-        cz = q * (trace.n - trace.h_prev) * _clamp_mask(trace.pre_z)
+        a = _col(g) * self.rbf_w * trace.phi
         qz = q * trace.z
         # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
-        t = (qz @ self.W_h[:, self.n_in:]) * trace.h_prev * _clamp_mask(trace.pre_r)
+        c_zr = np.concatenate([q * (trace.n - trace.h_prev),
+                               (qz @ self.W_h[:, self.n_in:]) * trace.h_prev],
+                              axis=-1) * _clamp_mask(trace.pre_zr)
         if self.gate_frozen:
-            s_g = np.zeros_like(g)
+            s_g = np.zeros(np.shape(g))
         else:
             s_g = g * (1.0 - g) * (trace.y_rbf - trace.y_gru)
-        return diff, a, d_centers, cz, t, qz, s_g
+        return diff, a, a / self.widths ** 2, c_zr, qz, s_g
 
     def jacobian_params(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dW in flat-vector layout (single-step, h_prev held fixed).
 
         Shape (P,) for a single-sample trace, (s, P) for a batched one."""
-        diff, a, d_centers, cz, t, qz, s_g = self._x_terms(trace)
-        g = np.asarray(trace.g)
-        gc, one_m_gc = g[..., None], (1.0 - g)[..., None]   # one column per row
+        diff, a, b, c_zr, qz, s_g = self._x_terms(trace)
+        gc, one_m_gc, s_gc = _col(trace.g), _col(1.0 - trace.g), _col(s_g)
         d_widths = a * (diff ** 2).sum(axis=-1) / self.widths ** 3
-        zeta, s_gc = trace.zeta, s_g[..., None]
-        lead = g.shape
+        zeta, lead = trace.zeta, np.shape(trace.g)
         return np.concatenate([
-            gc * trace.phi, d_centers.reshape(lead + (-1,)),
-            _outer(cz, zeta).reshape(lead + (-1,)),
-            _outer(t, zeta).reshape(lead + (-1,)),
+            gc * trace.phi, (b[..., None] * diff).reshape(lead + (-1,)),
+            _outer(c_zr, zeta).reshape(lead + (-1,)),
             _outer(qz, trace.xi).reshape(lead + (-1,)), s_gc * zeta, s_gc,
-            one_m_gc * trace.h_next, one_m_gc, d_widths, cz, t, qz,
+            one_m_gc * trace.h_next, one_m_gc, d_widths, c_zr, qz,
         ], axis=-1)
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dx, shape (n_in,) for a single-sample trace, (s, n_in) for a
         batched one.  x enters only as x - centers and through the
-        first-layer affine maps, so dy/dx is -sum_i dy/dc_i plus each of
-        dy/db_z, dy/db_r, dy/db_h, dy/dgate_b times its weights' x columns."""
-        _, _, d_centers, cz, t, qz, s_g = self._x_terms(trace)
-        n_in = self.n_in
-        return (cz @ self.W_z[:, :n_in] + t @ self.W_r[:, :n_in]
-                + qz @ self.W_h[:, :n_in] + s_g[..., None] * self.gate_w[:n_in]
-                - d_centers.sum(axis=-2))
+        first-layer affine maps of [x; h_prev], so dy/dx is one product of
+        dy/d(b_z, b_r, b_h, gate_b) with those maps' x-columns W_x, less
+        sum_i dy/dc_i."""
+        diff, _, b, c_zr, qz, s_g = self._x_terms(trace)
+        terms = np.concatenate([c_zr, qz, _col(s_g)], axis=-1)
+        return terms @ self.W_x - (b[..., None, :] @ diff)[..., 0, :]
 
     # -- flat parameter vector ----------------------------------------------
 
@@ -344,6 +380,9 @@ class TgrbfNet:
                    for name in shapes}
         except KeyError as exc:
             raise ValueError(f"{path}: missing {exc}") from None
+        unknown = set(doc["segments"]) - set(shapes)
+        if unknown:
+            raise ValueError(f"{path}: unknown segments {sorted(unknown)}")
         # a stored scalar becomes 0-d; the constructor names a wrong size
         return cls(**{name: a.reshape(shapes[name])
                       if a.size == math.prod(shapes[name]) else a

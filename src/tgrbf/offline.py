@@ -137,8 +137,8 @@ def _hidden_states(net: TgrbfNet, X: np.ndarray) -> np.ndarray:
     H = np.empty((len(X), net.p))
     H[:1] = net.h_init
     for i in range(1, len(X)):
-        H[i] = lgru_step(X[i - 1], H[i - 1], net.W_z, net.b_z, net.W_r,
-                         net.b_r, net.W_h, net.b_h)[0]
+        H[i] = lgru_step(X[i - 1], H[i - 1], net.W_zr, net.b_zr, net.W_h,
+                         net.b_h)[0]
     return H
 
 

@@ -116,8 +116,7 @@ def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
     alone (no RBF branch or gate) from h_init on each sample's own input,
     after forward's input checks.  x is (n_in,) or a stacked (s, n_in)."""
     x, h_init = net._inputs(x, net.h_init)
-    return lgru_step(x, h_init, net.W_z, net.b_z, net.W_r, net.b_r,
-                     net.W_h, net.b_h)[0]
+    return lgru_step(x, h_init, net.W_zr, net.b_zr, net.W_h, net.b_h)[0]
 
 
 def _replay(net, X: np.ndarray, targets: np.ndarray):

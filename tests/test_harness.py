@@ -268,12 +268,14 @@ def test_cli_disturbance_seed_is_not_a_config_key(tmp_path, capsys):
     (lambda doc: doc["segments"].update(gate_b=[0.5, 0.7]), "gate_b"),
     (lambda doc: doc["segments"]["out_w"].pop(), "out_w"),
     (lambda doc: doc.update(gate_frozen="no"), "gate_frozen"),
+    (lambda doc: doc["segments"].update(foo=[1.0]), "foo"),
 ], ids=["gate_b-empty", "W_h-missing", "gate_b-two-values", "out_w-short",
-        "gate_frozen-string"])
+        "gate_frozen-string", "foo-unknown"])
 def test_cli_malformed_checkpoint_exit_2(tmp_path, capsys, change, name):
-    """A checkpoint entry that is missing, of the wrong shape or of the
-    wrong JSON type is a validation error whose one-line message names it.
-    Before, these exited 1 with a traceback, or 0 with gate_b[0] used."""
+    """A checkpoint entry that is missing, unknown, of the wrong shape or of
+    the wrong JSON type is a validation error whose one-line message names
+    it.  Before, these exited 1 with a traceback, or 0 with gate_b[0] or
+    without the unknown segment used."""
     doc = json.loads((ROOT / "artifacts" / "network.json").read_text())
     change(doc)
     ckpt = tmp_path / "net.json"

@@ -1,24 +1,35 @@
 """The per-step hot path against kept copies of its earlier bodies.
 
 The network kernel, the replay hidden state and the trace export were
-rewritten to make fewer numpy and Python calls per step.  Each rewrite must
-give the same bits as the code it replaced: these tests keep that code
-(np.clip clamps, float masks, np.sum, a full forward for the replay state, a
-csv.writer export) and compare with np.array_equal, signed zeros included,
-or byte for byte.  The one exception is `jacobian_input`, which is now built
-from `jacobian_params`'s first-layer terms: it is held to 1e-12 relative to
-its kept hand derivation, the bound for numerical refactors.
+rewritten to make fewer numpy and Python calls per step.  These tests keep
+the code they replaced: a forward with separate update and reset gates,
+np.clip clamps and np.sum, float masks, the hand derivation of dy/dx, a
+full forward for the replay state and a csv.writer export.
+
+The kernel now runs both gates as one stacked affine map, clamp and mask
+(W_zr = [W_z; W_r]), and dy/dx is one product of its first-layer terms with
+the x-columns of [W_z; W_r; W_h; gate_w].  A stacked matrix product may
+round differently from two separate ones, so `forward` (y and every trace
+field), `jacobian_params` and `jacobian_input` are held to 1e-12 relative
+to the kept references, the bound for numerical refactors, and a
+closed-loop run with the new kernel must fire the same updates as one with
+the references.  The replay state and the trace export must still give the
+same bits, compared with np.array_equal (signed zeros included) or byte for
+byte.
 """
 
 import csv
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tgrbf import harness, online
-from tgrbf.network import ForwardTrace, random_net, sigmoid
+from tgrbf.network import _SEGMENTS, ForwardTrace, TgrbfNet, random_net, sigmoid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- kept references ---------------------------------------------------------
@@ -56,7 +67,8 @@ def _ref_forward(net, x, h_prev):
                           + net.gate_b))
     y = g * y_rbf + (1.0 - g) * y_gru
     return y, ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
-                           pre_z=pre_z, pre_r=pre_r, z=z, r=r, n=n,
+                           pre_zr=np.concatenate([pre_z, pre_r], axis=-1),
+                           zr=np.concatenate([z, r], axis=-1), n=n,
                            h_next=h_next, y_gru=y_gru, g=g, y=y,
                            zeta=zeta, xi=xi)
 
@@ -141,6 +153,12 @@ def _same_trace(t1, t2):
                for f in dataclasses.fields(ForwardTrace))
 
 
+def _close_trace(t1, ref):
+    return all(type(getattr(t1, f.name)) is type(getattr(ref, f.name))
+               and _close(getattr(t1, f.name), getattr(ref, f.name))
+               for f in dataclasses.fields(ForwardTrace))
+
+
 def _kinked(net):
     """Unit 0 of the update and reset gates pre-activates at exactly 0.0,
     unit 1 at exactly 1.0, whatever the input."""
@@ -166,16 +184,18 @@ def _nets(count=24):
 # -- network kernel ----------------------------------------------------------
 
 @pytest.mark.parametrize("batch", [None, 1, 7])
-def test_kernel_matches_kept_reference_bit_for_bit(batch):
+def test_kernel_matches_kept_reference(batch):
+    """forward (y and every trace field), jacobian_params and
+    jacobian_input, each to 1e-12 of the kept reference."""
     for net, rng in _nets():
         shape = (net.n_in,) if batch is None else (batch, net.n_in)
         x = rng.normal(size=shape)
         for h_prev in (None, rng.normal(size=shape[:-1] + (net.p,))):
             y, tr = net.forward(x, h_prev=h_prev)
             y_ref, tr_ref = _ref_forward(net, x, net.h if h_prev is None else h_prev)
-            assert _same(y, y_ref)
-            assert _same_trace(tr, tr_ref)
-            assert _same(net.jacobian_params(tr), _ref_jacobian_params(net, tr_ref))
+            assert type(y) is type(y_ref) and _close(y, y_ref)
+            assert _close_trace(tr, tr_ref)
+            assert _close(net.jacobian_params(tr), _ref_jacobian_params(net, tr_ref))
             if batch is None:
                 assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
 
@@ -193,9 +213,8 @@ def test_jacobians_match_reference_on_masks_at_signed_zero_and_one():
     net = random_net(3, 4, 5, rng)
     _, tr = net.forward(rng.normal(size=3))
     edges = np.array([-0.0, 0.0, 1.0, 0.5, 1.5])
-    tr = dataclasses.replace(tr, pre_z=edges, pre_r=edges[::-1].copy(),
-                             z=np.clip(edges, 0.0, 1.0),
-                             r=np.clip(edges[::-1], 0.0, 1.0))
+    pre_zr = np.concatenate([edges, edges[::-1]])
+    tr = dataclasses.replace(tr, pre_zr=pre_zr, zr=np.clip(pre_zr, 0.0, 1.0))
     assert _same(net.jacobian_params(tr), _ref_jacobian_params(net, tr))
     assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr))
 
@@ -232,6 +251,102 @@ def test_batched_input_jacobian_rows_equal_single_sample_calls():
             for i in range(7):
                 h_i = h_prev[i] if h_prev.ndim == 2 else h_prev
                 assert _close(J[i], net.jacobian_input(net.forward(X[i], h_prev=h_i)[1]))
+
+
+def _rebuilt(net):
+    """A TgrbfNet built anew from copies of net's segments and state."""
+    return TgrbfNet(**{name: getattr(net, name).copy() for name, _ in _SEGMENTS},
+                    h_init=net.h_init.copy(), h=net.h.copy(),
+                    gate_frozen=net.gate_frozen)
+
+
+def _same_as_rebuilt(net, rng):
+    fresh = _rebuilt(net)
+    for x in (rng.normal(size=net.n_in), rng.normal(size=(5, net.n_in))):
+        y, tr = net.forward(x)
+        y2, tr2 = fresh.forward(x)
+        if not (_same(y, y2) and _same_trace(tr, tr2)
+                and _same(net.jacobian_params(tr), fresh.jacobian_params(tr2))
+                and _same(net.jacobian_input(tr), fresh.jacobian_input(tr2))):
+            return False
+    return True
+
+
+def test_stacked_views_see_every_write_to_theta():
+    """W_zr, b_zr and W_x alias theta: after an online update, from_vector
+    or a segment assignment, forward and both Jacobians equal those of a
+    network built anew from the same segments, bit for bit."""
+    rng = np.random.default_rng(3)
+    net = random_net(3, 4, 5, rng)
+    p = net.p
+    assert np.array_equal(net.W_zr, np.vstack([net.W_z, net.W_r]))
+    assert np.array_equal(net.b_zr, np.concatenate([net.b_z, net.b_r]))
+    assert np.array_equal(net.W_x, np.vstack([net.W_z, net.W_r, net.W_h,
+                                              net.gate_w])[:, :net.n_in])
+    for name in ("W_zr", "b_zr", "W_x"):
+        assert np.shares_memory(getattr(net, name), net.theta), name
+
+    buf = online.ExperienceBuffer(40, net.n_in)
+    for _ in range(40):
+        buf.push(rng.normal(size=net.n_in), rng.normal(), 1.0)
+    # no momentum: the safeguard cap is then s_min^2 / s_max^2 > 0
+    opt = online.OnlineOptimizer(
+        net, buf, online.TriggerConfig(batch_s=8, momentum_alpha=0.0), rng)
+    before = net.to_vector()
+    event = opt.maybe_update(0, 1.0)
+    assert event is not None and not event.rejected
+    assert not np.array_equal(net.theta, before)
+    assert _same_as_rebuilt(net, rng)
+
+    net.from_vector(net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size))
+    assert _same_as_rebuilt(net, rng)
+    for name in ("W_z", "W_r", "W_h", "gate_w", "b_z", "b_r"):
+        setattr(net, name, rng.normal(size=getattr(net, name).shape))
+        assert _same_as_rebuilt(net, rng), name
+    # a stacked view assigns like a segment: it writes into theta
+    net.W_zr = rng.normal(size=(2 * p, net.n_in + p))
+    assert np.array_equal(net.W_r, net.W_zr[p:])
+    net.b_zr = rng.normal(size=2 * p)
+    assert np.array_equal(net.b_z, net.b_zr[:p])
+    assert _same_as_rebuilt(net, rng)
+
+    other = net.copy()
+    for name in ("W_zr", "b_zr", "W_x"):
+        assert not np.shares_memory(getattr(other, name), net.theta), name
+        assert np.shares_memory(getattr(other, name), other.theta), name
+    other.theta[:] = 0.5
+    assert not np.array_equal(net.W_zr, other.W_zr)
+
+
+# Largest relative change of a closed-loop trace column that the stacked
+# kernel may cause, |new - ref| / max(|new|, |ref|) per element.
+CLOSED_LOOP_DRIFT = 1e-10
+
+
+@pytest.mark.parametrize("config, seconds", [("step.json", 1.0), ("sine.json", 3.0)])
+def test_closed_loop_matches_the_kept_reference_kernel(monkeypatch, config, seconds):
+    """All three controllers on a shortened config: the new kernel fires
+    the same updates at the same steps as the kept references, and no
+    trace column drifts by more than CLOSED_LOOP_DRIFT."""
+    cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / config),
+                              duration_s=seconds)
+    net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
+    new = harness.compare_controllers(cfg, net)
+    monkeypatch.setattr(TgrbfNet, "forward", lambda self, x, h_prev=None:
+                        _ref_forward(self, x, self.h if h_prev is None else h_prev))
+    monkeypatch.setattr(TgrbfNet, "jacobian_params", _ref_jacobian_params)
+    monkeypatch.setattr(TgrbfNet, "jacobian_input", _ref_jacobian_input)
+    monkeypatch.setattr(online, "replay_hidden_state",
+                        lambda net, x: _ref_forward(net, x, net.h_init)[1].h_next)
+    ref = harness.compare_controllers(cfg, net)
+    trig = harness.TRACE_COLUMNS.index("triggered")
+    for name in harness.CONTROLLER_TYPES:
+        a, b = new[name][0].data, ref[name][0].data
+        assert np.array_equal(a[:, trig], b[:, trig]), name
+        scale = np.maximum(np.abs(a), np.abs(b))
+        drift = np.divide(np.abs(a - b), scale, out=np.zeros_like(a), where=scale > 0)
+        assert drift.max() <= CLOSED_LOOP_DRIFT, (name, drift.max(axis=0))
+    assert new["tgrbf_nc"][1].update_count > 0
 
 
 # -- replay hidden state -----------------------------------------------------
