@@ -26,7 +26,7 @@ EXIT_OK, EXIT_VALIDATION, EXIT_ABORTED = 0, 2, 3
 def cmd_identify(args) -> int:
     with open(args.config) as fh:
         doc = harness._check_keys("identify", json.load(fh), dict.fromkeys(
-            ("n_samples", "epochs", "m", "p", "seed"), "number"))
+            ("n_samples", "epochs", "m", "p", "seed"), "whole number"))
     n = int(doc.get("n_samples", 1000))
     epochs = int(doc.get("epochs", 200))
     m = int(doc.get("m", 6))
@@ -106,7 +106,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    err = gradient_audit(n_pairs=args.pairs, seed=args.seed or 0)
+    err = gradient_audit(n_pairs=args.pairs, seed=args.seed)
     print(f"max relative error over {args.pairs} pairs: {err:.3e}")
     return EXIT_OK if err < 1e-5 else 1
 
@@ -115,11 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tgrbf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_cfg in [("identify", cmd_identify, True),
-                                ("run", cmd_run, True),
-                                ("compare", cmd_compare, True)]:
+    for name, fn in [("identify", cmd_identify), ("run", cmd_run),
+                     ("compare", cmd_compare)]:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_cfg)
+        sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default="out")
         sp.set_defaults(fn=fn)

@@ -19,11 +19,11 @@ KINK_MARGIN = 1e-3
 FD_BLOCK_BYTES = 512 * 1024   # stacked parameters per oracle call
 
 
-def kink_clear(trace, margin: float = KINK_MARGIN) -> bool:
-    """True when every clamp pre-activation is at least `margin` away from
-    both kinks (0 and 1)."""
+def kink_clear(trace) -> bool:
+    """True when every clamp pre-activation is at least KINK_MARGIN away
+    from both kinks (0 and 1)."""
     pre = trace.pre_zr
-    return bool(np.all(np.minimum(np.abs(pre), np.abs(pre - 1.0)) >= margin))
+    return bool(np.all(np.minimum(np.abs(pre), np.abs(pre - 1.0)) >= KINK_MARGIN))
 
 
 def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,11 +62,11 @@ def _perturbed(base: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate([flat + e, flat - e]).reshape((-1,) + base.shape)
 
 
-def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
+def fd_jacobian_params(net: TgrbfNet, x, h_prev) -> np.ndarray:
     """Central finite differences of y with respect to the flat parameter
     vector, holding h_prev fixed (same truncation as the analytic path).
-    The 2P copies W + step*e_i, then W - step*e_i, of the whole vector go
-    through the oracle in blocks of at most FD_BLOCK_BYTES of parameters."""
+    The 2P copies W + FD_STEP*e_i, then W - FD_STEP*e_i, go through the
+    oracle in blocks of at most FD_BLOCK_BYTES of parameters."""
     x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
     W, layout = net.theta, net.layout()
     P = W.size
@@ -75,20 +75,20 @@ def fd_jacobian_params(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.nd
     for a in range(0, 2 * P, rows):
         i = np.arange(a, min(a + rows, 2 * P))
         block = np.tile(W, (i.size, 1))
-        block[np.arange(i.size), i % P] += np.where(i < P, step, -step)
+        block[np.arange(i.size), i % P] += np.where(i < P, FD_STEP, -FD_STEP)
         y[i] = _value_only({name: block[:, off:off + size].reshape(
                                 (i.size,) + getattr(net, name).shape)
                             for name, off, size in layout},
                            x, h_prev, net.gate_frozen)
-    return (y[:P] - y[P:]) / (2.0 * step)
+    return (y[:P] - y[P:]) / (2.0 * FD_STEP)
 
 
-def fd_jacobian_input(net: TgrbfNet, x, h_prev, step: float = FD_STEP) -> np.ndarray:
+def fd_jacobian_input(net: TgrbfNet, x, h_prev) -> np.ndarray:
     prm = {name: getattr(net, name) for name, _, _ in net.layout()}
-    xs = _perturbed(np.asarray(x, dtype=float), step)
+    xs = _perturbed(np.asarray(x, dtype=float), FD_STEP)
     yp, ym = np.split(_value_only(prm, xs, np.asarray(h_prev, dtype=float),
                                   net.gate_frozen), 2)
-    return (yp - ym) / (2.0 * step)
+    return (yp - ym) / (2.0 * FD_STEP)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

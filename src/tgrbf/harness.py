@@ -83,11 +83,11 @@ _SECTIONS = {"plant": pl.PlantParams, "disturbance": pl.DisturbanceSpec,
 
 
 # JSON values a key of each kind takes: a dataclass field's declared type,
-# "number" where the parser converts with float() or int(), "object" for a
-# section.  A bool is not a number.
+# "number" for a float() conversion, "whole number" (3.0 passes, 3.5 not) for
+# an int() one, "object" for a section.  A bool is not a number.
 _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
                "str | None": (str, type(None)), "number": (int, float),
-               "object": (dict,)}
+               "whole number": (int, float), "object": (dict,)}
 
 
 def _check_keys(section: str, d, accepted: dict) -> dict:
@@ -104,6 +104,8 @@ def _check_keys(section: str, d, accepted: dict) -> dict:
             raise ValueError(f"'{section}.{key}' must be a JSON {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"'{section}.{key}' must be finite, got {value!r}")
+        if kind == "whole number" and value != int(value):
+            raise ValueError(f"'{section}.{key}' must be a whole number, got {value!r}")
     return d
 
 
@@ -117,11 +119,13 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     unknown keys and values of the wrong type."""
     sections = dict.fromkeys({*_SECTIONS, "controller", "network"} - {"trigger"},
                              "object")
-    _check_keys("top", doc, {**sections, "duration_s": "number", "seed": "number"})
+    _check_keys("top", doc, {**sections, "duration_s": "number",
+                             "seed": "whole number"})
     c = _check_keys("controller", doc.get("controller", {}),
                     {"type": "str", "u_limit": "number", "control_sign": "number"})
     n = _check_keys("network", doc.get("network", {}), {
-        "checkpoint": "str | None", "buffer_capacity": "number", "trigger": "object"})
+        "checkpoint": "str | None", "buffer_capacity": "whole number",
+        "trigger": "object"})
     found = {**doc, **n}   # every section, "trigger" included
     kw = {name: cls(**_check_keys(name, found[name], _config_keys(cls)))
           for name, cls in _SECTIONS.items() if name in found}

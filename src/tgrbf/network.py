@@ -370,10 +370,14 @@ class TgrbfNet:
     def load(cls, path) -> "TgrbfNet":
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format") != "tgrbf-checkpoint-v1":
+        if not isinstance(doc, dict) or doc.get("format") != "tgrbf-checkpoint-v1":
             raise ValueError(f"not a network checkpoint: {path}")
-        if not isinstance(doc.get("gate_frozen", False), bool):
-            raise ValueError(f"{path}: gate_frozen must be true or false")
+        # each entry's JSON type, compared exactly: a bool is not an int
+        kinds = dict(n_in=int, m=int, p=int, segments=dict, gate_frozen=bool)
+        for key, kind in kinds.items():
+            if key in doc and type(doc[key]) is not kind:
+                raise ValueError(f"{path}: {key} must be a JSON {kind.__name__}, "
+                                 f"got {type(doc[key]).__name__}")
         try:
             shapes = _shapes(doc["n_in"], doc["m"], doc["p"])
             seg = {name: np.asarray(doc["segments"][name], dtype=float)

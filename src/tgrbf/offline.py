@@ -27,12 +27,19 @@ __all__ = [
 ]
 
 WIDTH_FLOOR = 1e-2
+# the identification recipe: excitation, process noise, holdout share,
+# output-layer ridge scale, and the gradient stage's momentum and step cap
+DWELL, EXCITATION_RANGE, NOISE_STD, HOLDOUT_FRAC = 50, (-2.0, 2.0), 0.01, 0.2
+RIDGE, MOMENTUM, ETA_MAX = 1e-6, 0.2, 10.0
 
 
 @dataclass
 class Dataset:
     samples: np.ndarray    # chronological rows [u_k, y_prev, y_teacher, target]
-    split: int             # train/holdout boundary index
+
+    @property
+    def split(self) -> int:   # the last HOLDOUT_FRAC of the rows are held out
+        return len(self.samples) - int(round(HOLDOUT_FRAC * len(self.samples)))
 
     def train(self) -> np.ndarray:
         return self.samples[: self.split]
@@ -62,33 +69,28 @@ def deploy_input(u_k: float, y_prev: float) -> np.ndarray:
     return np.array([u_k, y_prev, y_prev], dtype=float)
 
 
-def excitation_signal(n: int, rng: np.random.Generator, dwell: int = 50,
-                      low: float = -2.0, high: float = 2.0) -> np.ndarray:
+def excitation_signal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Identification input: piecewise-constant random levels held for
-    `dwell` steps."""
-    levels = rng.uniform(low, high, size=n // dwell + 2)
-    return np.repeat(levels, dwell)[:n]
+    DWELL steps."""
+    levels = rng.uniform(*EXCITATION_RANGE, size=n // DWELL + 2)
+    return np.repeat(levels, DWELL)[:n]
 
 
-def generate_dataset(n: int, params: pl.PlantParams = pl.NOMINAL_PLANT,
-                     noise_std: float = 0.01, seed: int = 0,
-                     holdout_frac: float = 0.2) -> Dataset:
+def generate_dataset(n: int, seed: int = 0) -> Dataset:
     """Simulate the nominal model under the excitation signal and record
     teacher-forcing rows in chronological order."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = excitation_signal(n, rng)
-    state = pl.make_state(params)
+    state = pl.make_state(pl.NOMINAL_PLANT)
     y = np.empty(n + 1)      # y[k + 1] is the output after u[k]
-    y[0] = pl.output(state, params)
+    y[0] = pl.output(state, pl.NOMINAL_PLANT)
     for k in range(n):
-        w = noise_std * rng.standard_normal() if noise_std > 0.0 else 0.0
-        state = pl.plant_step(state, float(u[k]), w, params)
-        y[k + 1] = pl.output(state, params)
-    split = n - int(round(holdout_frac * n))
-    return Dataset(samples=np.column_stack([u, y[:-1], y[1:], y[1:]]),
-                   split=split)
+        w = NOISE_STD * rng.standard_normal()
+        state = pl.plant_step(state, float(u[k]), w, pl.NOMINAL_PLANT)
+        y[k + 1] = pl.output(state, pl.NOMINAL_PLANT)
+    return Dataset(samples=np.column_stack([u, y[:-1], y[1:], y[1:]]))
 
 
 def initialize_network(data: Dataset, m: int = 6, p: int = 6,
@@ -154,8 +156,7 @@ def _ridge_rows(net: TgrbfNet, chunks: list, H: list) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _solve_output_layers(net: TgrbfNet, chunks: list, H: list,
-                         ridge: float = 1e-6) -> None:
+def _solve_output_layers(net: TgrbfNet, chunks: list, H: list) -> None:
     """Least-squares initialization of the output-side weights.
 
     With the kernel activations, hidden states and gate values fixed at their
@@ -167,7 +168,7 @@ def _solve_output_layers(net: TgrbfNet, chunks: list, H: list,
     AtA = A.T @ A
     # scale-aware ridge: collinear hidden features otherwise produce huge
     # mutually-cancelling weights that do not generalize
-    AtA += ridge * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
+    AtA += RIDGE * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
     sol = np.linalg.solve(AtA, A.T @ b)
     net.rbf_w, net.out_w, net.out_b = sol[:net.m], sol[net.m:-1], sol[-1]
 
@@ -181,8 +182,7 @@ def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
 
 
 def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
-                  chunk_len: int = 32, momentum: float = 0.2,
-                  seed: int = 0, eta_max: float = 10.0) -> tuple[TgrbfNet, FitReport]:
+                  chunk_len: int = 32, seed: int = 0) -> tuple[TgrbfNet, FitReport]:
     """Minimize the squared prediction error over all trainable parameter
     segments with the explicit-step momentum rule, one contiguous chunk per
     gradient step (hidden state reset per chunk, single-step gradients).
@@ -203,34 +203,29 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
     # states do not depend on: one scan serves it and the epoch-0 loss
     H = [_hidden_states(net, X) for X, _ in chunks]
     _solve_output_layers(net, chunks, H)
-    W = net.to_vector()
-    W_prev = W.copy()
+    W_prev = net.to_vector()
     loss_curve = [_epoch_loss(net, chunks, H)]
     halted = None
     for epoch in range(epochs):
-        W_epoch_start = W.copy()
-        W_prev_start = W_prev.copy()
-        order = rng.permutation(len(chunks))
-        for ci in order:
+        W_epoch_start = net.to_vector()
+        for ci in rng.permutation(len(chunks)):
             X, targets = chunks[ci]
             y_hat, trace = net.forward(X, h_prev=_hidden_states(net, X))
             F, J = targets - y_hat, -net.jacobian_params(trace)   # J = dF/dW
             grad = (J.T @ F) / len(F)
             eta, degenerate = explicit_step_size(F, J)
-            eta = min(eta_max, 1.0) if degenerate else min(eta, eta_max)
-            W_next = momentum_update(W, W_prev, grad, eta, momentum)
+            eta = min(ETA_MAX, 1.0) if degenerate else min(eta, ETA_MAX)
+            W_next = momentum_update(net.theta, W_prev, grad, eta, MOMENTUM)
+            W_prev[:] = net.theta   # if rejected, theta stays and momentum is 0
             if W_next is None:
-                W_prev = W.copy()     # reject step, drop momentum
                 continue
             net.theta[:] = W_next
             # keep kernel widths above the positivity floor
             np.clip(net.widths, WIDTH_FLOOR, None, out=net.widths)
-            W_prev, W = W, net.to_vector()
         H = [_hidden_states(net, X) for X, _ in chunks]
         loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:
-            W, W_prev = W_epoch_start, W_prev_start
-            net.from_vector(W)
+            net.from_vector(W_epoch_start)
             halted = epoch
             break
         loss_curve.append(loss)
@@ -289,13 +284,11 @@ def dataset_to_csv(data: Dataset, path) -> None:
                ([k, *row] for k, row in enumerate(data.samples.tolist())))
 
 
-def dataset_from_csv(path, holdout_frac: float = 0.2) -> Dataset:
+def dataset_from_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if header != ["k", "u", "y_prev", "y_teacher", "target"]:
             raise ValueError(f"unexpected dataset header: {header}")
         rows = [[float(v) for v in row[1:]] for row in rd]
-    samples = np.array(rows).reshape(len(rows), 4)   # raises on a short row
-    split = len(samples) - int(round(holdout_frac * len(samples)))
-    return Dataset(samples=samples, split=split)
+    return Dataset(np.array(rows).reshape(len(rows), 4))   # raises on a short row

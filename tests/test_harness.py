@@ -269,8 +269,14 @@ def test_cli_disturbance_seed_is_not_a_config_key(tmp_path, capsys):
     (lambda doc: doc["segments"]["out_w"].pop(), "out_w"),
     (lambda doc: doc.update(gate_frozen="no"), "gate_frozen"),
     (lambda doc: doc["segments"].update(foo=[1.0]), "foo"),
+    (lambda doc: doc.update(segments=list(doc["segments"].values())),
+     "segments"),
+    (lambda doc: doc.update(n_in="3"), "n_in"),
+    (lambda doc: doc.update(m=6.0), "m"),
+    (lambda doc: doc.update(p=True), "p"),
 ], ids=["gate_b-empty", "W_h-missing", "gate_b-two-values", "out_w-short",
-        "gate_frozen-string", "foo-unknown"])
+        "gate_frozen-string", "foo-unknown", "segments-list", "n_in-string",
+        "m-float", "p-bool"])
 def test_cli_malformed_checkpoint_exit_2(tmp_path, capsys, change, name):
     """A checkpoint entry that is missing, unknown, of the wrong shape or of
     the wrong JSON type is a validation error whose one-line message names
@@ -288,6 +294,50 @@ def test_cli_malformed_checkpoint_exit_2(tmp_path, capsys, change, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err
     assert not out.exists()
+
+
+def test_cli_checkpoint_that_is_a_json_array_exit_2(tmp_path, capsys):
+    """A checkpoint whose top level is an array is not a checkpoint; it
+    used to exit 1 with an AttributeError."""
+    doc = json.loads((ROOT / "artifacts" / "network.json").read_text())
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(json.dumps([doc]))
+    code = _cli_exit(tmp_path, capsys, "run",
+                     {"network": {"checkpoint": str(ckpt)}, "duration_s": 0.01})
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("run", {"seed": 0.5}, "seed"),
+    ("run", {"network": {"buffer_capacity": 1000.9}}, "buffer_capacity"),
+    *(("identify", {key: 6.7}, key)
+      for key in ("n_samples", "epochs", "m", "p", "seed")),
+], ids=["run-seed", "run-buffer_capacity", "identify-n_samples",
+        "identify-epochs", "identify-m", "identify-p", "identify-seed"])
+def test_cli_whole_number_key_rejects_a_fraction_exit_2(tmp_path, capsys,
+                                                         command, doc, key):
+    """A key the parser converts with int() takes no fraction; it used to
+    be truncated (seed 0.5 ran with seed 0, m 6.7 trained m = 6)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "whole number" in err and key in err
+    assert not out.exists()
+
+
+def test_cli_identify_takes_integral_floats(tmp_path):
+    """An integral float still passes as a whole number."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 50.0, "epochs": 1.0, "m": 2.0,
+                               "p": 2.0, "seed": 3.0}))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    net = TgrbfNet.load(out / "network.json")
+    assert (net.m, net.p) == (2, 2)
+    assert len(offline.dataset_from_csv(out / "dataset.csv").samples) == 50
 
 
 @pytest.mark.parametrize("command, text", [

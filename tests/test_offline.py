@@ -13,7 +13,7 @@ def test_deploy_input_duplicates_previous_output():
 
 def test_excitation_pwc_holds_levels():
     rng = np.random.Generator(np.random.PCG64(0))
-    u = offline.excitation_signal(200, rng, dwell=50)
+    u = offline.excitation_signal(200, rng)
     assert u.shape == (200,)
     for start in range(0, 200, 50):
         assert np.all(u[start:start + 50] == u[start])
@@ -80,6 +80,41 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.samples.tobytes() == data.samples.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 1000])
+def test_dataset_split_is_derived_from_the_row_count(tmp_path, n):
+    """The split holds out the last round(0.2 n) rows, and a CSV round
+    trip keeps it."""
+    data = offline.Dataset(samples=np.arange(4.0 * n).reshape(n, 4))
+    assert data.split == n - int(round(0.2 * n))
+    assert len(data.train()) + len(data.holdout()) == n
+    path = tmp_path / "dataset.csv"
+    offline.dataset_to_csv(data, path)
+    assert offline.dataset_from_csv(path).split == data.split
+
+
+def test_train_offline_rejected_step_keeps_theta_and_drops_momentum(
+        monkeypatch):
+    """A rejected (non-finite) step leaves the parameters as they were, and
+    the step after it starts with W_prev = W: no momentum."""
+    calls = []
+    real = offline.momentum_update
+
+    def spy(W, W_prev, grad, eta, alpha):
+        calls.append((W.copy(), W_prev.copy()))
+        return None if len(calls) == 2 else real(W, W_prev, grad, eta, alpha)
+
+    monkeypatch.setattr(offline, "momentum_update", spy)
+    data = offline.generate_dataset(200, seed=0)
+    net0 = offline.initialize_network(data, m=3, p=3, seed=0)
+    offline.train_offline(net0, data, epochs=1, seed=0)
+    assert len(calls) >= 3
+    (W1, _), (W2, W2_prev), (W3, W3_prev) = calls[:3]
+    # the first step moved theta, so the rejected step had momentum to drop
+    assert np.array_equal(W2_prev, W1) and not np.array_equal(W2, W1)
+    assert np.array_equal(W3, W2)
+    assert np.array_equal(W3_prev, W3)
+
+
 def test_dataset_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -123,7 +158,7 @@ def test_train_offline_short_run_quality():
 
 
 def test_train_offline_empty_training_set():
-    data = offline.Dataset(samples=np.empty((0, 4)), split=0)
+    data = offline.Dataset(samples=np.empty((0, 4)))
     net0 = offline.initialize_network(offline.generate_dataset(50, seed=0),
                                       m=3, p=2, seed=0)
     with pytest.raises(ValueError):

@@ -299,4 +299,4 @@ def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
 def test_empty_training_set_still_raises():
     net, _ = next(_nets(500, 1))
     with pytest.raises(ValueError):
-        offline.train_offline(net, Dataset(samples=np.empty((0, 4)), split=0))
+        offline.train_offline(net, Dataset(samples=np.empty((0, 4))))
