@@ -32,6 +32,12 @@ def cmd_identify(args) -> int:
     m = int(doc.get("m", 6))
     p = int(doc.get("p", 6))
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    for key, value, low in (("epochs", epochs, 0), ("m", m, 1), ("p", p, 1)):
+        if value < low:
+            raise ValueError(f"'identify.{key}' must be >= {low}, got {value}")
+    if round(offline.HOLDOUT_FRAC * n) < 1:
+        raise ValueError(f"'identify.n_samples' must leave a holdout row (the "
+                         f"last {offline.HOLDOUT_FRAC:g} of the rows), got {n}")
     os.makedirs(args.out, exist_ok=True)
 
     data = offline.generate_dataset(n, seed=seed)
@@ -106,6 +112,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     err = gradient_audit(n_pairs=args.pairs, seed=args.seed)
     print(f"max relative error over {args.pairs} pairs: {err:.3e}")
     return EXIT_OK if err < 1e-5 else 1

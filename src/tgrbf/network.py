@@ -237,8 +237,10 @@ class TgrbfNet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        if x.ndim == 2 and h_prev.shape != (x.shape[0], self.p):
-            h_prev = np.broadcast_to(h_prev, (x.shape[0], self.p))
+        if x.ndim == 2 and h_prev.ndim == 1:
+            # a shared state is copied per row: concatenating a stride-0
+            # broadcast view is slower than the copy
+            h_prev = h_prev[None, :].repeat(x.shape[0], axis=0)
         return x, h_prev
 
     def forward(self, x, h_prev=None) -> tuple[float | np.ndarray, ForwardTrace]:
@@ -292,20 +294,25 @@ class TgrbfNet:
             s_g = g * (1.0 - g) * (trace.y_rbf - trace.y_gru)
         return diff, a, a / self.widths ** 2, c_zr, qz, s_g
 
-    def jacobian_params(self, trace: ForwardTrace) -> np.ndarray:
+    def jacobian_params(self, trace: ForwardTrace,
+                        online_only: bool = False) -> np.ndarray:
         """dy/dW in flat-vector layout (single-step, h_prev held fixed).
 
-        Shape (P,) for a single-sample trace, (s, P) for a batched one."""
+        Shape (P,) for a single-sample trace, (s, P) for a batched one.
+        online_only builds just the leading n_online columns, the online
+        update's set; offline training and the gradient audit take all P."""
         diff, a, b, c_zr, qz, s_g = self._x_terms(trace)
         gc, one_m_gc, s_gc = _col(trace.g), _col(1.0 - trace.g), _col(s_g)
-        d_widths = a * (diff ** 2).sum(axis=-1) / self.widths ** 3
         zeta, lead = trace.zeta, np.shape(trace.g)
-        return np.concatenate([
+        cols = [
             gc * trace.phi, (b[..., None] * diff).reshape(lead + (-1,)),
             _outer(c_zr, zeta).reshape(lead + (-1,)),
             _outer(qz, trace.xi).reshape(lead + (-1,)), s_gc * zeta, s_gc,
-            one_m_gc * trace.h_next, one_m_gc, d_widths, c_zr, qz,
-        ], axis=-1)
+            one_m_gc * trace.h_next, one_m_gc]
+        if not online_only:
+            d_widths = a * (diff ** 2).sum(axis=-1) / self.widths ** 3
+            cols += [d_widths, c_zr, qz]
+        return np.concatenate(cols, axis=-1)
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dx, shape (n_in,) for a single-sample trace, (s, n_in) for a

@@ -132,8 +132,7 @@ def residuals_and_jacobian(net, X: np.ndarray,
     """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
     F, trace = _replay(net, X, targets)
-    # the online columns are a prefix; negating the slice copies it row-major
-    return F, -net.jacobian_params(trace)[:, :net.n_online]
+    return F, -net.jacobian_params(trace, online_only=True)
 
 
 def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
@@ -154,7 +153,10 @@ def step_size_safeguard(eta: float, J: np.ndarray, alpha: float,
     s_max (conservative, computable).  If s_min degenerates the configured
     eta_max is the cap.  Returns (eta', safeguard_hit, s_min, s_max).
     """
-    sv = np.linalg.svd(J, compute_uv=False)
+    # J is wide (batch_s rows, n_online columns).  LAPACK reduces the tall
+    # J' by QR before the SVD of its small R (Chan's R-SVD), which costs
+    # less than its path for the wide J; the values agree to rounding.
+    sv = np.linalg.svd(J.T, compute_uv=False)
     s_min, s_max = float(sv[-1]), float(sv[0])
     if s_min <= 1e-6 or s_max == 0.0:
         cap = eta_max
@@ -171,7 +173,7 @@ def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
     """W - eta*grad + alpha*(W - W_prev); None signals a rejected
     (non-finite) step."""
     W_next = W - eta * grad + alpha * (W - W_prev)
-    if not np.all(np.isfinite(W_next)):
+    if not np.isfinite(W_next).all():
         return None
     return W_next
 
@@ -227,7 +229,7 @@ class OnlineOptimizer:
         self.W_prev_masked = Wm.copy()
         event = UpdateEvent(k=k, eta=eta, loss_before=loss_before,
                             loss_after=loss_before,
-                            grad_norm=float(np.linalg.norm(grad)),
+                            grad_norm=math.sqrt(float(grad @ grad)),
                             safeguard_hit=hit, sigma_min=s_min,
                             sigma_max=s_max, eta_explicit=eta_explicit)
         if Wm_next is None:

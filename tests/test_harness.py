@@ -328,6 +328,35 @@ def test_cli_whole_number_key_rejects_a_fraction_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"epochs": -1}, "epochs"), ({"m": 0}, "m"), ({"p": 0}, "p"),
+    ({"n_samples": 2}, "n_samples"), ({"n_samples": -5}, "n_samples"),
+], ids=["epochs-negative", "m-zero", "p-zero", "n_samples-no-holdout",
+        "n_samples-negative"])
+def test_cli_identify_out_of_range_key_exit_2(tmp_path, capsys, doc, key):
+    """epochs -1 and p 0 used to exit 0 and write a checkpoint, and
+    n_samples 2 (a holdout of round(0.4) = 0 rows) exited 2 with a message
+    that named no key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"identify.{key}" in err
+    assert not out.exists()
+
+
+def test_cli_identify_takes_the_smallest_sizes(tmp_path):
+    """The edges of the range checks: 3 samples leave one holdout row, and
+    0 epochs, m 1 and p 1 train."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 3, "epochs": 0, "m": 1, "p": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    net = TgrbfNet.load(out / "network.json")
+    assert (net.m, net.p) == (1, 1)
+
+
 def test_cli_identify_takes_integral_floats(tmp_path):
     """An integral float still passes as a whole number."""
     cfg = tmp_path / "cfg.json"
@@ -401,6 +430,15 @@ def test_cli_run_pid_scenario(tmp_path):
 
 def test_cli_gradcheck_small():
     assert cli.main(["gradcheck", "--pairs", "5", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_cli_gradcheck_without_a_pair_exit_2(capsys, pairs):
+    """An audit of no pairs checks nothing; it used to print an error of 0
+    "over -1 pairs" and pass."""
+    assert cli.main(["gradcheck", "--pairs", pairs]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "--pairs" in err and not out
 
 
 @pytest.mark.parametrize("epochs,halted", [(0, None), (3, 0)])

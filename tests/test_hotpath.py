@@ -4,7 +4,8 @@ The network kernel, the replay hidden state and the trace export were
 rewritten to make fewer numpy and Python calls per step.  These tests keep
 the code they replaced: a forward with separate update and reset gates,
 np.clip clamps and np.sum, float masks, the hand derivation of dy/dx, a
-full forward for the replay state and a csv.writer export.
+full forward for the replay state, the safeguard's SVD of the wide J and a
+csv.writer export.
 
 The kernel now runs both gates as one stacked affine map, clamp and mask
 (W_zr = [W_z; W_r]), and dy/dx is one product of its first-layer terms with
@@ -13,7 +14,8 @@ round differently from two separate ones, so `forward` (y and every trace
 field), `jacobian_params` and `jacobian_input` are held to 1e-12 relative
 to the kept references, the bound for numerical refactors, and a
 closed-loop run with the new kernel must fire the same updates as one with
-the references.  The replay state and the trace export must still give the
+the references.  The safeguard now factors the tall J', whose singular
+values equal J's to rounding.  The replay state and the trace export must still give the
 same bits, compared with np.array_equal (signed zeros included) or byte for
 byte.
 """
@@ -73,7 +75,7 @@ def _ref_forward(net, x, h_prev):
                            zeta=zeta, xi=xi)
 
 
-def _ref_jacobian_params(net, trace):
+def _ref_jacobian_params(net, trace, online_only=False):
     x, h_prev = trace.x, trace.h_prev
     g = np.asarray(trace.g)
     one_m_g = 1.0 - g
@@ -94,12 +96,13 @@ def _ref_jacobian_params(net, trace):
            else g * one_m_g * (trace.y_rbf - trace.y_gru))
     s_gc = s_g[..., None]
     lead = g.shape
-    return np.concatenate([
+    J = np.concatenate([
         d_rbf_w, d_centers.reshape(lead + (-1,)),
         outer(cz, zeta).reshape(lead + (-1,)), outer(t, zeta).reshape(lead + (-1,)),
         outer(q * z, trace.xi).reshape(lead + (-1,)), s_gc * zeta, s_gc,
         one_m_gc * trace.h_next, one_m_gc, d_widths, cz, t, q * z,
     ], axis=-1)
+    return J[..., :net.n_online] if online_only else J
 
 
 def _ref_jacobian_input(net, trace):
@@ -118,6 +121,20 @@ def _ref_jacobian_input(net, trace):
     d_gate = (0.0 if net.gate_frozen
               else g * (1.0 - g) * (trace.y_rbf - trace.y_gru) * net.gate_w[:n_in])
     return d_rbf + q @ dh_dx + d_gate
+
+
+def _ref_step_size_safeguard(eta, J, alpha, eta_max):
+    """step_size_safeguard with the singular values of the wide J itself."""
+    sv = np.linalg.svd(J, compute_uv=False)
+    s_min, s_max = float(sv[-1]), float(sv[0])
+    if s_min <= 1e-6 or s_max == 0.0:
+        cap = eta_max
+    else:
+        L = s_max
+        cap = max(0.0, (s_min ** 2 - 2.0 * alpha ** 2 * L ** 2 / s_min ** 2)
+                  / s_max ** 2)
+    eta_capped = min(eta, cap, eta_max)
+    return eta_capped, eta_capped < eta, s_min, s_max
 
 
 def _ref_export_trace_csv(trace, path):
@@ -198,6 +215,18 @@ def test_kernel_matches_kept_reference(batch):
             assert _close(net.jacobian_params(tr), _ref_jacobian_params(net, tr_ref))
             if batch is None:
                 assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_online_jacobian_is_the_prefix_of_the_full_one(batch):
+    """online_only builds the first n_online columns of the full J, bit for
+    bit."""
+    for net, rng in _nets():
+        shape = (net.n_in,) if batch is None else (batch, net.n_in)
+        _, tr = net.forward(rng.normal(size=shape),
+                            h_prev=rng.normal(size=shape[:-1] + (net.p,)))
+        assert _same(net.jacobian_params(tr, online_only=True),
+                     net.jacobian_params(tr)[..., :net.n_online])
 
 
 def test_kinked_gates_are_exactly_at_the_clamp_edges():
@@ -336,6 +365,7 @@ def test_closed_loop_matches_the_kept_reference_kernel(monkeypatch, config, seco
                         _ref_forward(self, x, self.h if h_prev is None else h_prev))
     monkeypatch.setattr(TgrbfNet, "jacobian_params", _ref_jacobian_params)
     monkeypatch.setattr(TgrbfNet, "jacobian_input", _ref_jacobian_input)
+    monkeypatch.setattr(online, "step_size_safeguard", _ref_step_size_safeguard)
     monkeypatch.setattr(online, "replay_hidden_state",
                         lambda net, x: _ref_forward(net, x, net.h_init)[1].h_next)
     ref = harness.compare_controllers(cfg, net)
@@ -347,6 +377,45 @@ def test_closed_loop_matches_the_kept_reference_kernel(monkeypatch, config, seco
         drift = np.divide(np.abs(a - b), scale, out=np.zeros_like(a), where=scale > 0)
         assert drift.max() <= CLOSED_LOOP_DRIFT, (name, drift.max(axis=0))
     assert new["tgrbf_nc"][1].update_count > 0
+
+
+# -- safeguard ---------------------------------------------------------------
+
+def _safeguard_cases():
+    """Wide (the online update's shape), tall and rank-deficient J, over
+    six decades of scale, and an all-zero J."""
+    rng = np.random.default_rng(11)
+    for scale in (1e-4, 1e-2, 1.0, 30.0):
+        yield rng.normal(size=(32, 203)) * scale
+        yield rng.normal(size=(50, 7)) * scale
+        yield rng.normal(size=(32, 5)) @ rng.normal(size=(5, 203)) * scale
+    yield np.zeros((4, 9))
+
+
+def test_safeguard_matches_the_kept_svd_of_J():
+    """The singular values of J' equal those of J to 8 eps max(1, s_max),
+    and hit and eta are the same.  Where the cap binds, eta is a function
+    of the singular values and agrees to 1e-12 relative; elsewhere it is
+    eta0, eta_max or 0, bit for bit."""
+    eps, eta_max = np.finfo(float).eps, 10.0
+    paths = set()
+    for J in _safeguard_cases():
+        for alpha in (0.0, 0.2):
+            for eta0 in (1e-3, 0.5, 5.0, 50.0):
+                eta, hit, s_min, s_max = online.step_size_safeguard(
+                    eta0, J, alpha, eta_max)
+                eta_r, hit_r, s_min_r, s_max_r = _ref_step_size_safeguard(
+                    eta0, J, alpha, eta_max)
+                tol = 8.0 * eps * max(1.0, s_max_r)
+                assert abs(s_min - s_min_r) <= tol and abs(s_max - s_max_r) <= tol
+                assert hit == hit_r
+                if 0.0 < eta_r < min(eta0, eta_max):
+                    paths.add("cap")
+                    assert abs(eta - eta_r) <= 1e-12 * eta_r
+                else:
+                    paths.add("degenerate" if s_min_r <= 1e-6 else "other")
+                    assert eta == eta_r
+    assert paths == {"cap", "degenerate", "other"}
 
 
 # -- replay hidden state -----------------------------------------------------
