@@ -31,10 +31,13 @@ def cmd_identify(args) -> int:
     epochs = int(doc.get("epochs", 200))
     m = int(doc.get("m", 6))
     p = int(doc.get("p", 6))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    for key, value, low in (("epochs", epochs, 0), ("m", m, 1), ("p", p, 1)):
+    seed = int(doc.get("seed", 0))
+    for key, value, low in (("epochs", epochs, 0), ("m", m, 1), ("p", p, 1),
+                            ("seed", seed, 0)):
         if value < low:
             raise ValueError(f"'identify.{key}' must be >= {low}, got {value}")
+    if args.seed is not None:
+        seed = args.seed
     if round(offline.HOLDOUT_FRAC * n) < 1:
         raise ValueError(f"'identify.n_samples' must leave a holdout row (the "
                          f"last {offline.HOLDOUT_FRAC:g} of the rows), got {n}")
@@ -147,6 +150,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
+        # numpy's generators take no negative seed, and their error names no key
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,6 +63,8 @@ class ScenarioConfig:
         steps = self.duration_s / self.plant.Ts
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration_s must be an integer number of samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_steps(self) -> int:
@@ -239,6 +241,8 @@ def run_scenario(cfg: ScenarioConfig,
                    g_val, triggered, eta)
         u_prev, y_last = u, y
 
+    if opt is not None:
+        opt.settle()
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,

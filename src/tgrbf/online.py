@@ -56,7 +56,7 @@ class UpdateEvent:
     k: int
     eta: float
     loss_before: float
-    loss_after: float
+    loss_after: float            # nan until OnlineOptimizer.settle()
     grad_norm: float
     safeguard_hit: bool
     sigma_min: float = 0.0
@@ -195,10 +195,22 @@ class OnlineOptimizer:
         self.W_prev_masked = net.theta[:net.n_online].copy()
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
+        self._pending = None   # (event, X, targets) of a step awaiting settle()
+
+    def settle(self) -> None:
+        """Set the last applied step's loss_after: its batch replayed under the
+        theta it wrote.  Only maybe_update writes theta, the replay starts from
+        h_init and X, targets are copies, so this equals a replay in the step."""
+        if self._pending is not None:
+            event, X, targets = self._pending
+            event.loss_after = batch_loss(self.net, X, targets)
+            self._pending = None
 
     def maybe_update(self, k: int, e_pred: float) -> UpdateEvent | None:
         """Run one triggered update if warranted; returns the event or None
-        (skipped).  A rejected step leaves the network unchanged."""
+        (skipped).  A rejected step leaves the network unchanged.  Settles
+        the previous step first; this step's loss_after is nan until settled."""
+        self.settle()
         if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
             return None
         idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
@@ -237,7 +249,8 @@ class OnlineOptimizer:
             event.eta = 0.0
         else:
             Wm[:] = Wm_next
-            event.loss_after = batch_loss(self.net, X, targets)
+            event.loss_after = math.nan
+            self._pending = (event, X, targets)
 
         # refresh replay priorities of the evaluated samples
         self.buf.priority[idx] = np.abs(F)

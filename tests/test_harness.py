@@ -441,6 +441,34 @@ def test_cli_gradcheck_without_a_pair_exit_2(capsys, pairs):
     assert err.startswith("error: ") and "--pairs" in err and not out
 
 
+def _pid_doc():
+    return {"controller": {"type": "pid"}, "duration_s": 0.01}
+
+
+@pytest.mark.parametrize("argv, doc, name", [
+    (["identify"], {"seed": -1, "n_samples": 50}, "'identify.seed'"),
+    (["identify", "--seed", "-1"], {"n_samples": 50}, "--seed"),
+    (["run", "--seed", "-1"], _pid_doc(), "--seed"),
+    (["run"], {**_pid_doc(), "seed": -3}, "seed must be"),
+    (["compare", "--seed", "-1"], _pid_doc(), "--seed"),
+    (["gradcheck", "--seed", "-1"], None, "--seed"),
+], ids=["identify-config", "identify-flag", "run-flag", "run-config",
+        "compare-flag", "gradcheck-flag"])
+def test_cli_negative_seed_exit_2(tmp_path, capsys, argv, doc, name):
+    """A negative seed used to reach numpy's generator and exit 2 with
+    'expected non-negative integer', which names no key, after identify had
+    created its output directory."""
+    out = tmp_path / "out"
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg), "--out", str(out)]
+    assert cli.main(argv) == 2
+    std, err = capsys.readouterr()
+    assert err.startswith("error: ") and name in err and not std
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epochs,halted", [(0, None), (3, 0)])
 def test_cli_identify_fit_report_keeps_halt_and_deploy_rows(tmp_path, epochs,
                                                             halted):

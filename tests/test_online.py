@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tgrbf import online
+from tgrbf import harness, online
 from tgrbf.network import _SEGMENTS, random_net
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _net(seed=0, m=3, p=2):
@@ -336,13 +341,15 @@ def test_update_respects_offline_mask():
 
 def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     """maybe_update replays exactly buf.X[idx] and buf.targets[idx] for the
-    positions idx its rng draws, and refreshes only their priorities."""
+    positions idx its rng draws, and refreshes only their priorities.  The
+    post-step replay (batch_loss) sees the same bytes in the next call, even
+    after pushes have shifted the buffer's rows."""
     net = _net()
     rng = np.random.Generator(np.random.PCG64(4))
     buf = online.ExperienceBuffer(50, net.n_in)
     for _ in range(40):
         buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 5.0)
-    seen = []
+    seen, residuals = [], online.residuals_and_jacobian
 
     def spy(fn):
         def wrapped(net_, X, targets):
@@ -360,15 +367,125 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
                                  np.random.Generator(np.random.PCG64(11)))
     event = opt.maybe_update(0, 1.0)
     assert event is not None and not event.rejected
+    assert [name for name, _, _ in seen] == ["residuals_and_jacobian"]
+    F, _ = residuals(net, X, targets)
+    assert buf.priority[idx].tobytes() == np.abs(F).tobytes()
+    rest = np.setdiff1d(np.arange(len(buf)), idx)
+    assert np.all(buf.priority[rest] == 5.0)
+
+    for _ in range(20):   # fills the buffer and evicts, shifting its rows
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+    assert opt.maybe_update(1, 0.0) is None
     assert [name for name, _, _ in seen] == ["residuals_and_jacobian",
                                              "batch_loss"]
     for _, X_seen, t_seen in seen:
         assert X_seen.tobytes() == X.tobytes()
         assert t_seen.tobytes() == targets.tobytes()
-    F, _ = online.residuals_and_jacobian(net, X, targets)
-    assert buf.priority[idx].tobytes() == np.abs(F).tobytes()
-    rest = np.setdiff1d(np.arange(len(buf)), idx)
-    assert np.all(buf.priority[rest] == 5.0)
+    assert math.isfinite(event.loss_after)
+
+
+def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
+    """With cooldown 0 and triggers on consecutive steps, the next call
+    replays the pending batch under the parameters the last step wrote,
+    before its own step; a rejected step leaves nothing pending."""
+    net = _net(4, 3, 2)
+    rng = np.random.Generator(np.random.PCG64(5))
+    buf = online.ExperienceBuffer(50, net.n_in)
+    for _ in range(20):
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+    calls, losses = [], []
+    residuals, loss, step = (online.residuals_and_jacobian, online.batch_loss,
+                             online.momentum_update)
+
+    def spy_residuals(net_, X, targets):
+        calls.append(("residuals", X.copy(), targets.copy()))
+        return residuals(net_, X, targets)
+
+    def spy_loss(net_, X, targets):
+        calls.append(("loss", net_.theta.copy(), X.copy(), targets.copy()))
+        losses.append(loss(net_, X, targets))
+        return losses[-1]
+
+    def spy_step(*args):
+        calls.append(("step",))
+        return step(*args)
+
+    monkeypatch.setattr(online, "residuals_and_jacobian", spy_residuals)
+    monkeypatch.setattr(online, "batch_loss", spy_loss)
+    monkeypatch.setattr(online, "momentum_update", spy_step)
+    # one-row batches, so that the safeguard leaves the step nonzero
+    opt = online.OnlineOptimizer(net, buf, online.TriggerConfig(
+        delta=0.01, batch_s=1, momentum_alpha=0.1, cooldown_steps=0),
+        np.random.Generator(np.random.PCG64(6)))
+    theta_start = net.theta.copy()
+    e0 = opt.maybe_update(0, 1.0)
+    assert not e0.rejected and math.isnan(e0.loss_after)
+    theta0 = net.theta.copy()
+    assert not np.array_equal(theta0, theta_start)
+    e1 = opt.maybe_update(1, 1.0)
+    assert not e1.rejected and math.isnan(e1.loss_after)
+    assert [c[0] for c in calls] == ["residuals", "step", "loss",
+                                     "residuals", "step"]
+    _, X0, t0 = calls[0]
+    _, theta_seen, X_seen, t_seen = calls[2]
+    assert theta_seen.tobytes() == theta0.tobytes()
+    assert X_seen.tobytes() == X0.tobytes() and t_seen.tobytes() == t0.tobytes()
+    ref = net.copy()
+    ref.theta[:] = theta0
+    assert e0.loss_after == loss(ref, X0, t0) == losses[0]
+
+    monkeypatch.setattr(online, "momentum_update", lambda *args: None)
+    theta1 = net.theta.copy()
+    e2 = opt.maybe_update(2, 1.0)
+    assert e2.rejected and e2.loss_after == e2.loss_before
+    last_loss = [c for c in calls if c[0] == "loss"][-1]
+    assert e1.loss_after == losses[1] and last_loss[1].tobytes() == theta1.tobytes()
+    opt.settle()
+    assert len(losses) == 2 and net.theta.tobytes() == theta1.tobytes()
+
+
+class _ReplayInTheStep(online.OnlineOptimizer):
+    """The reference: the post-step replay runs inside the call that applies
+    the step, as the update did before the replay moved to the next call."""
+
+    def maybe_update(self, k, e_pred):
+        event = super().maybe_update(k, e_pred)
+        self.settle()
+        return event
+
+
+@pytest.mark.parametrize("config, duration_s", [("step.json", 2.0),
+                                                ("sine.json", 1.999)])
+def test_settled_loss_after_equals_a_replay_inside_the_step(monkeypatch, config,
+                                                            duration_s):
+    """Every event of a shortened run, the fourth one forced to a rejected
+    step, equals the reference's bit for bit, loss_after included.  Each
+    duration ends on an update, so run_scenario settles the last event."""
+    cfg = harness.load_config(ROOT / "configs" / config)
+    cfg.checkpoint = str(ROOT / "artifacts" / "network.json")
+    cfg.duration_s = duration_s
+    step = online.momentum_update
+
+    def run(optimizer):
+        calls = itertools.count()
+        monkeypatch.setattr(online, "momentum_update", lambda *args:
+                            None if next(calls) == 3 else step(*args))
+        monkeypatch.setattr(harness, "OnlineOptimizer", optimizer)
+        return harness.run_scenario(cfg)[0]
+
+    ref, got = run(_ReplayInTheStep), run(online.OnlineOptimizer)
+    assert got.data.tobytes() == ref.data.tobytes()
+
+    def rows(trace):
+        return np.array([dataclasses.astuple(e) for e in trace.events], float)
+
+    assert len(got.events) > 4 and rows(got).tobytes() == rows(ref).tobytes()
+    rejected = got.events[3]
+    assert rejected.rejected and rejected.loss_after == rejected.loss_before
+    assert [e.rejected for e in got.events].count(True) == 1
+    last = got.events[-1]
+    assert last.k == cfg.n_steps - 1 and not last.rejected
+    assert math.isfinite(last.loss_after)
 
 
 def test_online_segments_are_a_prefix_of_the_layout():
