@@ -46,7 +46,7 @@ class GainState:
             raise ValueError("gain bounds need k_min <= k_max")
 
 
-def control_law(e: float, g: GainState, u_limit: float = 10.0) -> float:
+def control_law(e: float, g: GainState, u_limit: float) -> float:
     """u = k1*e + k2*sig_alpha(e), clamped to the actuator limit."""
     u = g.k1 * e + g.k2 * sig_alpha(e, g.alpha_pow)
     return min(max(u, -u_limit), u_limit)
@@ -81,9 +81,14 @@ class PidState:
     e_prev: float = field(default=0.0, metadata={"run_state": True})
     integral_limit: float = 100.0   # anti-windup clamp on the raw integral
 
+    def __post_init__(self):
+        if not self.integral_limit >= 0.0:
+            raise ValueError(
+                f"integral_limit must be >= 0, got {self.integral_limit}")
+
 
 def pid_step(p: PidState, e: float, Ts: float,
-             u_limit: float = 10.0) -> tuple[float, PidState]:
+             u_limit: float) -> tuple[float, PidState]:
     """Textbook discrete PID with clamped integral and backward-difference
     derivative."""
     if Ts <= 0.0:

@@ -96,7 +96,7 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
-def gradient_audit(n_pairs: int = 200, seed: int = 0,
+def gradient_audit(n_pairs: int, seed: int,
                    m_range=(1, 8), p_range=(1, 8)) -> float:
     """Max relative error between analytic and finite-difference Jacobians
     (parameters and input) over n_pairs random (network, input) pairs."""

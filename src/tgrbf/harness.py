@@ -49,7 +49,6 @@ class ScenarioConfig:
     nc_gains: ctl.GainState | None = None   # fixed-gain baseline tuning
     pid: ctl.PidState = field(default_factory=ctl.PidState)
     u_limit: float = 10.0
-    control_sign: float = 1.0       # -1 restores the destabilizing textbook sign
     checkpoint: str | None = None
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     buffer_capacity: int = 1000
@@ -60,6 +59,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLER_TYPES:
             raise ValueError(f"unknown controller type: {self.controller}")
+        if not self.u_limit > 0.0:
+            raise ValueError(f"u_limit must be > 0, got {self.u_limit}")
+        if not self.duration_s >= 0.0:
+            raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
         steps = self.duration_s / self.plant.Ts
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration_s must be an integer number of samples")
@@ -124,17 +127,17 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     _check_keys("top", doc, {**sections, "duration_s": "number",
                              "seed": "whole number"})
     c = _check_keys("controller", doc.get("controller", {}),
-                    {"type": "str", "u_limit": "number", "control_sign": "number"})
+                    {"type": "str", "u_limit": "number"})
     n = _check_keys("network", doc.get("network", {}), {
         "checkpoint": "str | None", "buffer_capacity": "whole number",
         "trigger": "object"})
     found = {**doc, **n}   # every section, "trigger" included
-    kw = {name: cls(**_check_keys(name, found[name], _config_keys(cls)))
+    kw = {name: cls(**_check_keys(f"network.{name}" if name in n else name,
+                                  found[name], _config_keys(cls)))
           for name, cls in _SECTIONS.items() if name in found}
     if "type" in c:
         kw["controller"] = c["type"]
-    for key, conv, src in (("u_limit", float, c), ("control_sign", float, c),
-                           ("buffer_capacity", int, n),
+    for key, conv, src in (("u_limit", float, c), ("buffer_capacity", int, n),
                            ("duration_s", float, doc), ("seed", int, doc)):
         if key in src:
             kw[key] = conv(src[key])
@@ -224,8 +227,7 @@ def run_scenario(cfg: ScenarioConfig,
         if cfg.controller == "pid":
             u, pid = ctl.pid_step(pid, e, cfg.plant.Ts, cfg.u_limit)
         else:
-            u = cfg.control_sign * ctl.control_law(e, gains, cfg.u_limit)
-            u = min(max(u, -cfg.u_limit), cfg.u_limit)
+            u = ctl.control_law(e, gains, cfg.u_limit)
 
         triggered, eta = 0.0, 0.0
         if opt is not None:

@@ -99,9 +99,8 @@ class ForwardTrace:
     """All intermediates of one forward pass, for Jacobian reuse.
 
     For a batch every field carries the leading batch axis, and the scalar
-    fields (y_rbf, y_gru, g, y) are (s,) arrays instead of floats.  pre_zr
-    and zr hold both gates; pre_z, pre_r, z and r are views of their
-    halves."""
+    fields (y_rbf, y_gru, g) are (s,) arrays instead of floats.  pre_zr and
+    zr hold both gates, the update gate's p columns first."""
 
     x: np.ndarray
     h_prev: np.ndarray
@@ -113,25 +112,8 @@ class ForwardTrace:
     h_next: np.ndarray
     y_gru: float | np.ndarray
     g: float | np.ndarray
-    y: float | np.ndarray
     zeta: np.ndarray
     xi: np.ndarray
-
-    @property
-    def pre_z(self) -> np.ndarray:
-        return self.pre_zr[..., :self.n.shape[-1]]
-
-    @property
-    def pre_r(self) -> np.ndarray:
-        return self.pre_zr[..., self.n.shape[-1]:]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.zr[..., :self.n.shape[-1]]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.zr[..., self.n.shape[-1]:]
 
 
 def _shapes(n_in: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
@@ -219,9 +201,6 @@ class TgrbfNet:
         else:
             self.__dict__[name][...] = value
 
-    def count_parameters(self) -> int:
-        return self.theta.size
-
     # -- forward ------------------------------------------------------------
 
     def reset(self) -> None:
@@ -262,7 +241,7 @@ class TgrbfNet:
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                              pre_zr=pre_zr, zr=zr, n=n,
-                             h_next=h_next, y_gru=y_gru, g=g, y=y,
+                             h_next=h_next, y_gru=y_gru, g=g,
                              zeta=zeta, xi=xi)
         return y, trace
 
@@ -283,7 +262,7 @@ class TgrbfNet:
         q = _col(1.0 - g) * self.out_w                  # dy/dh_next
         diff = trace.x[..., None, :] - self.centers     # (..., m, n_in)
         a = _col(g) * self.rbf_w * trace.phi
-        qz = q * trace.z
+        qz = q * trace.zr[..., :self.p]
         # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
         c_zr = np.concatenate([q * (trace.n - trace.h_prev),
                                (qz @ self.W_h[:, self.n_in:]) * trace.h_prev],
@@ -337,17 +316,6 @@ class TgrbfNet:
 
     def to_vector(self) -> np.ndarray:
         return self.theta.copy()
-
-    def from_vector(self, vec: np.ndarray) -> None:
-        """Load parameters from a flat vector (inverse of to_vector)."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != self.theta.shape:
-            raise ValueError(f"expected vector of length {self.theta.size}, "
-                             f"got {vec.shape}")
-        # the widths lead the offline segments
-        if (vec[self.n_online:self.n_online + self.m] <= 0.0).any():
-            raise ValueError("all kernel widths must be positive")
-        self.theta[:] = vec
 
     def online_mask(self) -> np.ndarray:
         """Boolean mask over the flat vector selecting the online-updated

@@ -76,7 +76,7 @@ def excitation_signal(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.repeat(levels, DWELL)[:n]
 
 
-def generate_dataset(n: int, seed: int = 0) -> Dataset:
+def generate_dataset(n: int, seed: int) -> Dataset:
     """Simulate the nominal model under the excitation signal and record
     teacher-forcing rows in chronological order."""
     if n < 1:
@@ -93,8 +93,7 @@ def generate_dataset(n: int, seed: int = 0) -> Dataset:
     return Dataset(samples=np.column_stack([u, y[:-1], y[1:], y[1:]]))
 
 
-def initialize_network(data: Dataset, m: int = 6, p: int = 6,
-                       seed: int = 0) -> TgrbfNet:
+def initialize_network(data: Dataset, m: int, p: int, seed: int) -> TgrbfNet:
     """Centers uniform over the observed input hypercube; widths half the
     mean nearest-neighbor center distance (floored); gate bias 0.5 with zero
     gate weights (constant initial gate); update-gate bias 0.9 so the hidden
@@ -181,8 +180,8 @@ def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
     return total / (2.0 * sum(len(targets) for _, targets in chunks))
 
 
-def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
-                  chunk_len: int = 32, seed: int = 0) -> tuple[TgrbfNet, FitReport]:
+def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
+                  chunk_len: int = 32) -> tuple[TgrbfNet, FitReport]:
     """Minimize the squared prediction error over all trainable parameter
     segments with the explicit-step momentum rule, one contiguous chunk per
     gradient step (hidden state reset per chunk, single-step gradients).
@@ -225,7 +224,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int = 200,
         H = [_hidden_states(net, X) for X, _ in chunks]
         loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:
-            net.from_vector(W_epoch_start)
+            net.theta = W_epoch_start
             halted = epoch
             break
         loss_curve.append(loss)

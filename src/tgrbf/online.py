@@ -66,7 +66,7 @@ class UpdateEvent:
 
 
 def should_trigger(e_t: float, cfg: TriggerConfig,
-                   steps_since_update: float = math.inf) -> bool:
+                   steps_since_update: float) -> bool:
     """Strict-inequality trigger |e_t| > delta, gated by the cooldown."""
     return abs(e_t) > cfg.delta and steps_since_update >= cfg.cooldown_steps
 

@@ -108,14 +108,16 @@ def _assert_batch_matches(net, X, H):
     y, tr = net.forward(X, h_prev=H)
     J = net.jacobian_params(tr)
     assert y.shape == (len(X),)
-    assert J.shape == (len(X), net.count_parameters())
+    assert J.shape == (len(X), net.theta.size)
     for i in range(len(X)):
         y_ref, ref = _ref_forward(net, X[i], H[i])
         assert _rel(y[i], y_ref) <= TOL
         assert _rel(tr.h_next[i], ref["h_next"]) <= TOL
         assert _rel(tr.g[i], ref["g"]) <= TOL
-        assert np.array_equal(_ref_mask(tr.pre_z[i]), _ref_mask(ref["pre_z"]))
-        assert np.array_equal(_ref_mask(tr.pre_r[i]), _ref_mask(ref["pre_r"]))
+        assert np.array_equal(_ref_mask(tr.pre_zr[i, :net.p]),
+                              _ref_mask(ref["pre_z"]))
+        assert np.array_equal(_ref_mask(tr.pre_zr[i, net.p:]),
+                              _ref_mask(ref["pre_r"]))
         assert _rel(J[i], _ref_jacobian_params(net, ref)) <= TOL
     return tr
 
@@ -126,9 +128,9 @@ def test_single_sample_forward_keeps_scalar_types():
     net, X, H = next(_cases(0, 1))
     y, tr = net.forward(X[0], h_prev=H[0])
     assert isinstance(y, float)
-    for name in ("y_rbf", "y_gru", "g", "y"):
+    for name in ("y_rbf", "y_gru", "g"):
         assert isinstance(getattr(tr, name), float)
-    assert net.jacobian_params(tr).shape == (net.count_parameters(),)
+    assert net.jacobian_params(tr).shape == (net.theta.size,)
     assert net.jacobian_input(tr).shape == (net.n_in,)
     y_ref, ref = _ref_forward(net, X[0], H[0])
     assert _rel(y, y_ref) <= TOL
@@ -180,8 +182,8 @@ def test_kink_pre_activations_match_exactly():
                                  rng.uniform(-1.0, 1.0, size=x0.size)])
             H = rng.uniform(-0.8, 0.8, size=(len(X), p))
             tr = _assert_batch_matches(net, X, H)
-            assert np.array_equal(tr.pre_z, np.repeat(X[:, :1], p, axis=1))
-            assert np.array_equal(tr.pre_r, np.repeat(X[:, 1:2], p, axis=1))
+            assert np.array_equal(tr.pre_zr[:, :p], np.repeat(X[:, :1], p, axis=1))
+            assert np.array_equal(tr.pre_zr[:, p:], np.repeat(X[:, 1:2], p, axis=1))
 
 
 def test_residuals_and_jacobian_match_per_sample_replay():

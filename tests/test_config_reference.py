@@ -5,8 +5,9 @@ build each section in its own `if` block; it now takes the keys from the
 dataclass fields.  The network's checkpoint loader and parameter count used
 to name all 13 segments by hand; they now follow `_SEGMENTS`.  These tests
 keep the earlier code and require the same accepted keys (less
-`disturbance.seed`, deleted because the run seed always overrode it), the
-same parsed configs and the same bytes.
+`disturbance.seed`, deleted because the run seed always overrode it, and
+`controller.control_sign`, deleted because no config set it), the same
+parsed configs and the same bytes.
 """
 
 import json
@@ -108,7 +109,7 @@ FULL = {
     "disturbance": {"noise_std": 0.02, "sine_amp": 0.1, "sine_freq_hz": 0.25},
     "reference": {"kind": "sine", "amplitude": 0.5, "freq_hz": 0.2,
                   "step_time_s": 0.1},
-    "controller": {"type": "nc_fixed", "u_limit": 5, "control_sign": -1},
+    "controller": {"type": "nc_fixed", "u_limit": 5},
     "gains": {"k1": 1.5, "k2": 2.5, "alpha_pow": 0.6, "eta1": 0.1,
               "eta2": 0.2, "k1_min": 0.05, "k1_max": 40.0, "k2_min": 0.02,
               "k2_max": 30.0},
@@ -171,8 +172,9 @@ def test_every_section_accepts_the_same_keys(section):
     new = {k for k in _CANDIDATES if _accepts(harness.config_from_dict, path, k)}
     assert old == _REF_SCHEMA["gains" if section == "nc_gains" else section]
     # disturbance.seed never changed a run (the run seed overrode it) and
-    # is no longer a key
-    assert old - new == ({"seed"} if section == "disturbance" else set())
+    # controller.control_sign was never set; neither is a key any more
+    deleted = {"disturbance": {"seed"}, "controller": {"control_sign"}}
+    assert old - new == deleted.get(section, set())
     assert new <= old
 
 
@@ -226,4 +228,4 @@ def test_checkpoint_round_trips_every_segment_byte_for_byte(tmp_path, frozen):
             assert np.shape(a) == np.shape(b), name
         assert back.h_init.tobytes() == net.h_init.tobytes()
         assert back.gate_frozen is frozen
-        assert back.count_parameters() == _ref_count_parameters(net)
+        assert back.theta.size == _ref_count_parameters(net)

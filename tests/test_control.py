@@ -26,14 +26,15 @@ def test_sig_alpha_validation():
 
 def test_control_law_hand_value():
     g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7)
-    assert ctl.control_law(1.0, g) == pytest.approx(2.3)
+    assert ctl.control_law(1.0, g, 10.0) == pytest.approx(2.3)
 
 
 def test_control_law_zero_and_odd():
     g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7)
-    assert ctl.control_law(0.0, g) == 0.0
+    assert ctl.control_law(0.0, g, 10.0) == 0.0
     for e in (0.2, 1.7):
-        assert ctl.control_law(-e, g) == pytest.approx(-ctl.control_law(e, g))
+        assert ctl.control_law(-e, g, 10.0) == pytest.approx(
+            -ctl.control_law(e, g, 10.0))
 
 
 def test_control_law_actuator_clamp():
@@ -96,7 +97,7 @@ def test_adapt_gains_skips_nonfinite_sensitivity():
 
 def test_pid_pure_proportional():
     p = ctl.PidState(kp=2.0)
-    u, p2 = ctl.pid_step(p, 1.5, 0.001)
+    u, p2 = ctl.pid_step(p, 1.5, 0.001, 10.0)
     assert u == pytest.approx(3.0)
     assert p2.e_prev == 1.5
 
@@ -110,7 +111,7 @@ def test_pid_integral_accumulation():
 
 
 def test_pid_zero_error_zero_output():
-    u, _ = ctl.pid_step(ctl.PidState(kp=3.0, ki=2.0, kd=1.0), 0.0, 0.001)
+    u, _ = ctl.pid_step(ctl.PidState(kp=3.0, ki=2.0, kd=1.0), 0.0, 0.001, 10.0)
     assert u == 0.0
 
 
@@ -124,7 +125,7 @@ def test_pid_anti_windup_clamp():
 
 def test_pid_validation():
     with pytest.raises(ValueError):
-        ctl.pid_step(ctl.PidState(), 1.0, 0.0)
+        ctl.pid_step(ctl.PidState(), 1.0, 0.0, 10.0)
 
 
 def tune_pid_relay_zn(params: pl.PlantParams, Ts: float,

@@ -132,7 +132,7 @@ def _params(net):
 def test_batched_fd_matches_scalar_reference():
     for net, x, h_prev in _cases(20, 60):
         jp = fd_jacobian_params(net, x, h_prev)
-        assert jp.shape == (net.count_parameters(),)
+        assert jp.shape == (net.theta.size,)
         assert np.max(np.abs(jp - _ref_fd_params(net, x, h_prev))) <= FD_TOL
         jx = fd_jacobian_input(net, x, h_prev)
         assert jx.shape == x.shape
@@ -155,7 +155,7 @@ def _count_oracle_calls(monkeypatch):
 def test_blocked_fd_matches_per_segment_reference(monkeypatch, rows):
     calls = _count_oracle_calls(monkeypatch)
     for net, x, h_prev in _cases(25, 30):
-        P = net.count_parameters()
+        P = net.theta.size
         budget = {"one block": 2 * P * 8 * P,
                   "one row over": (2 * P - 1) * 8 * P,
                   "one row": 1}[rows]
@@ -174,7 +174,7 @@ def test_default_block_budget_bounds_rows_and_peak_memory(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(26))
     net = random_net(3, 8, 8, rng)
     x, h_prev = rng.uniform(-1.5, 1.5, size=3), rng.uniform(-0.5, 0.5, size=8)
-    P = net.count_parameters()
+    P = net.theta.size
     calls = _count_oracle_calls(monkeypatch)
     fd_jacobian_params(net, x, h_prev)
     assert max(calls) * P * 8 <= gradcheck.FD_BLOCK_BYTES
@@ -218,7 +218,7 @@ def test_frozen_gate_columns_are_exactly_zero():
     for net, x, h_prev in _cases(23, 20):
         net.gate_frozen = True
         jp = fd_jacobian_params(net, x, h_prev)
-        assert jp.shape == (net.count_parameters(),)
+        assert jp.shape == (net.theta.size,)
         layout = {n: (o, s) for n, o, s in net.layout()}
         for name in ("gate_w", "gate_b"):
             off, size = layout[name]

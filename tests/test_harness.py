@@ -44,6 +44,18 @@ def test_config_rejects_unknown_nested_key():
         harness.config_from_dict({"network": {"trigger": {"delay": 1}}})
 
 
+@pytest.mark.parametrize("trigger, text", [
+    ({"batch_s": 32.0}, "'network.trigger.batch_s' must be a JSON int"),
+    ({"delay": 1}, "unknown keys in 'network.trigger' config"),
+], ids=["wrong-type", "unknown-key"])
+def test_config_errors_name_the_network_trigger_path(trigger, text):
+    """The trigger section sits inside network; its errors used to name
+    'trigger' alone."""
+    with pytest.raises(ValueError) as exc:
+        harness.config_from_dict({"network": {"trigger": trigger}})
+    assert text in str(exc.value)
+
+
 def test_config_rejects_unknown_controller():
     with pytest.raises(ValueError):
         harness.ScenarioConfig(controller="lqr")
@@ -466,6 +478,32 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys, argv, doc, name):
     assert cli.main(argv) == 2
     std, err = capsys.readouterr()
     assert err.startswith("error: ") and name in err and not std
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"controller": {"type": "nc_fixed", "u_limit": -5}, "duration_s": 0.01},
+     "u_limit"),
+    ({"controller": {"type": "pid", "u_limit": 0}, "duration_s": 0.01},
+     "u_limit"),
+    ({**_pid_doc(), "pid": {"integral_limit": -1}}, "integral_limit"),
+    ({**_pid_doc(), "duration_s": -1}, "duration_s"),
+    ({"controller": {"type": "pid", "control_sign": -1}, "duration_s": 0.01},
+     "control_sign"),
+], ids=["u_limit-negative", "u_limit-zero", "integral_limit-negative",
+        "duration_s-negative", "control_sign-unknown"])
+def test_cli_run_rejects_an_out_of_range_scenario_value_exit_2(tmp_path, capsys,
+                                                                doc, key):
+    """u_limit -5 used to pin u at -5 (an inverted clamp), u_limit 0 to run
+    with u = 0 and integral_limit -1 to pin the integral at -1, all exiting
+    0; duration_s -1 exited 2 with numpy's message, which names no key.
+    control_sign is no longer a key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    std, err = capsys.readouterr()
+    assert err.startswith("error: ") and key in err and not std
     assert not out.exists()
 
 

@@ -71,7 +71,7 @@ def _ref_forward(net, x, h_prev):
     return y, ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                            pre_zr=np.concatenate([pre_z, pre_r], axis=-1),
                            zr=np.concatenate([z, r], axis=-1), n=n,
-                           h_next=h_next, y_gru=y_gru, g=g, y=y,
+                           h_next=h_next, y_gru=y_gru, g=g,
                            zeta=zeta, xi=xi)
 
 
@@ -80,14 +80,14 @@ def _ref_jacobian_params(net, trace, online_only=False):
     g = np.asarray(trace.g)
     one_m_g = 1.0 - g
     gc, one_m_gc = g[..., None], one_m_g[..., None]
-    phi, z, n = trace.phi, trace.z, trace.n
+    phi, z, n = trace.phi, trace.zr[..., :net.p], trace.n
     diff = x[..., None, :] - net.centers
     d_rbf_w = gc * phi
     d_centers = (gc * net.rbf_w * phi / net.widths ** 2)[..., None] * diff
     d_widths = gc * net.rbf_w * phi * np.sum(diff ** 2, axis=-1) / net.widths ** 3
     q = one_m_gc * net.out_w
-    mz = _ref_clamp_mask(trace.pre_z)
-    mr = _ref_clamp_mask(trace.pre_r)
+    mz = _ref_clamp_mask(trace.pre_zr[..., :net.p])
+    mr = _ref_clamp_mask(trace.pre_zr[..., net.p:])
     zeta = trace.zeta
     outer = lambda a, b: a[..., :, None] * b[..., None, :]
     cz = q * (n - h_prev) * mz
@@ -112,12 +112,12 @@ def _ref_jacobian_input(net, trace):
     d_rbf = g * np.sum((net.rbf_w * trace.phi / net.widths ** 2)[:, None] * diff,
                        axis=0)
     q = (1.0 - g) * net.out_w
-    mz = _ref_clamp_mask(trace.pre_z)
-    mr = _ref_clamp_mask(trace.pre_r)
+    mz = _ref_clamp_mask(trace.pre_zr[..., :net.p])
+    mr = _ref_clamp_mask(trace.pre_zr[..., net.p:])
     dn_dx = (net.W_h[:, :n_in]
              + net.W_h[:, n_in:] @ ((trace.h_prev * mr)[:, None] * net.W_r[:, :n_in]))
     dh_dx = ((trace.n - trace.h_prev) * mz)[:, None] * net.W_z[:, :n_in] \
-        + trace.z[:, None] * dn_dx
+        + trace.zr[:net.p, None] * dn_dx
     d_gate = (0.0 if net.gate_frozen
               else g * (1.0 - g) * (trace.y_rbf - trace.y_gru) * net.gate_w[:n_in])
     return d_rbf + q @ dh_dx + d_gate
@@ -232,8 +232,9 @@ def test_online_jacobian_is_the_prefix_of_the_full_one(batch):
 def test_kinked_gates_are_exactly_at_the_clamp_edges():
     net = _kinked(random_net(2, 3, 4, np.random.default_rng(1)))
     _, tr = net.forward(np.array([0.4, -0.2]))
-    assert tr.pre_z[0] == 0.0 and tr.pre_z[1] == 1.0
-    assert tr.pre_r[0] == 0.0 and tr.pre_r[1] == 1.0
+    pre_z, pre_r = tr.pre_zr[:net.p], tr.pre_zr[net.p:]
+    assert pre_z[0] == 0.0 and pre_z[1] == 1.0
+    assert pre_r[0] == 0.0 and pre_r[1] == 1.0
 
 
 def test_jacobians_match_reference_on_masks_at_signed_zero_and_one():
@@ -302,9 +303,9 @@ def _same_as_rebuilt(net, rng):
 
 
 def test_stacked_views_see_every_write_to_theta():
-    """W_zr, b_zr and W_x alias theta: after an online update, from_vector
-    or a segment assignment, forward and both Jacobians equal those of a
-    network built anew from the same segments, bit for bit."""
+    """W_zr, b_zr and W_x alias theta: after an online update, an
+    assignment to theta or to a segment, forward and both Jacobians equal
+    those of a network built anew from the same segments, bit for bit."""
     rng = np.random.default_rng(3)
     net = random_net(3, 4, 5, rng)
     p = net.p
@@ -327,7 +328,7 @@ def test_stacked_views_see_every_write_to_theta():
     assert not np.array_equal(net.theta, before)
     assert _same_as_rebuilt(net, rng)
 
-    net.from_vector(net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size))
+    net.theta = net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size)
     assert _same_as_rebuilt(net, rng)
     for name in ("W_z", "W_r", "W_h", "gate_w", "b_z", "b_r"):
         setattr(net, name, rng.normal(size=getattr(net, name).shape))

@@ -80,7 +80,7 @@ def test_saturated_update_gate_has_zero_subgradient():
     net, x, h_prev = _random_case(rng)
     net.b_z = np.full(net.p, 5.0)     # pre_z > 1 everywhere -> z saturated
     _, tr = net.forward(x, h_prev=h_prev)
-    assert np.all(tr.z == 1.0)
+    assert np.all(tr.zr[:net.p] == 1.0)
     jp = net.jacobian_params(tr)
     layout = {n: (o, s) for n, o, s in net.layout()}
     for name in ("W_z", "b_z"):

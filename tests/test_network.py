@@ -61,8 +61,8 @@ def test_lgru_hand_example():
     zero = np.zeros(1)
     net = _lgru_net(3, ones, zero, ones, zero, ones, zero, np.array([1.0]), 0.25)
     _, tr = net.forward(np.array([0.2, 0.0, 0.0]), h_prev=np.array([0.5]))
-    assert tr.z[0] == pytest.approx(0.7)
-    assert tr.r[0] == pytest.approx(0.7)
+    assert tr.zr[0] == pytest.approx(0.7)   # z
+    assert tr.zr[1] == pytest.approx(0.7)   # r
     assert tr.n[0] == pytest.approx(0.55)
     assert tr.h_next[0] == pytest.approx(0.535)
     assert tr.y_gru == pytest.approx(0.535 + 0.25)   # readout adds out_b
@@ -74,8 +74,8 @@ def test_lgru_clamp_saturation():
                     ones, np.array([-5.0]),        # pre_r = -4.7 -> r = 0
                     ones, np.zeros(1), np.array([1.0]), 0.0)
     _, tr = net.forward(np.array([0.0]), h_prev=np.array([0.3]))
-    assert tr.z[0] == 1.0
-    assert tr.r[0] == 0.0
+    assert tr.zr[0] == 1.0   # z
+    assert tr.zr[1] == 0.0   # r
     # z = 1 means the previous state is fully replaced by the candidate
     assert tr.h_next[0] == pytest.approx(tr.n[0])
 
@@ -117,10 +117,10 @@ def test_gate_frozen_forces_pure_rbf():
 def test_count_parameters_formula():
     rng = np.random.Generator(np.random.PCG64(0))
     net = random_net(3, 6, 6, rng)
-    assert net.count_parameters() == 227
+    assert net.theta.size == 227
     assert net.to_vector().shape == (227,)
     net_small = random_net(1, 1, 1, rng)
-    assert net_small.count_parameters() == 17
+    assert net_small.theta.size == 17
     assert net_small.to_vector().shape == (17,)
 
 
@@ -138,28 +138,16 @@ def test_vector_round_trip():
     net = _small_net()
     vec = net.to_vector()
     other = _small_net(seed=1)
-    other.from_vector(vec)
+    other.theta = vec
     assert np.array_equal(other.to_vector(), vec)
     assert other.gate_b == net.gate_b
     assert other.out_b == net.out_b
 
 
-def test_from_vector_validation():
-    net = _small_net()
-    with pytest.raises(ValueError):
-        net.from_vector(np.zeros(net.count_parameters() + 1))
-    bad = net.to_vector()
-    name_off = {n: (o, s) for n, o, s in net.layout()}
-    off, _ = name_off["widths"]
-    bad[off] = -1.0
-    with pytest.raises(ValueError):
-        net.from_vector(bad)
-
-
 def test_online_mask_excludes_widths_and_lgru_biases():
     net = _small_net()
     mask = net.online_mask()
-    assert mask.shape == (net.count_parameters(),)
+    assert mask.shape == (net.theta.size,)
     # offline-only block: m widths plus the three LGRU bias vectors
     assert int((~mask).sum()) == net.m + 3 * net.p
     layout = {n: (o, s) for n, o, s in net.layout()}
@@ -176,12 +164,12 @@ def test_layout_covers_vector():
     net = _small_net()
     layout = net.layout()
     assert layout[0][1] == 0
-    assert sum(size for _, _, size in layout) == net.count_parameters()
+    assert sum(size for _, _, size in layout) == net.theta.size
 
 
 def test_segments_are_views_of_the_parameter_vector():
-    """theta is the only storage: segment assignments, from_vector and
-    prefix writes all show through, and copy() shares none of it."""
+    """theta is the only storage: segment assignments, assignments to
+    theta and prefix writes all show through, and copy() shares none of it."""
     rng = np.random.Generator(np.random.PCG64(7))
     for gate_frozen in (False, True):
         net = _small_net(seed=int(rng.integers(100)), m=4, p=5)
@@ -193,7 +181,7 @@ def test_segments_are_views_of_the_parameter_vector():
             assert np.array_equal(net.to_vector()[off:off + size],
                                   np.ravel(value)), name
         vec = net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size)
-        net.from_vector(vec)
+        net.theta = vec
         for name, off, size in layout:
             assert np.array_equal(np.ravel(getattr(net, name)),
                                   vec[off:off + size]), name
@@ -211,7 +199,8 @@ def test_segments_are_views_of_the_parameter_vector():
         for name, value in (("rbf_w", np.zeros(net.m + 1)),
                             ("centers", np.zeros((net.n_in, net.m))),
                             ("gate_b", [0.5]), ("out_b", np.zeros(1)),
-                            ("theta", np.zeros(net.theta.size - 1))):
+                            ("theta", np.zeros(net.theta.size - 1)),
+                            ("theta", np.zeros(net.theta.size + 1))):
             with pytest.raises(ValueError, match=name):
                 setattr(net, name, value)
         assert np.array_equal(net.theta, before)

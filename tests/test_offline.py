@@ -39,7 +39,7 @@ def test_generate_dataset_deterministic():
 
 def test_generate_dataset_validation():
     with pytest.raises(ValueError):
-        offline.generate_dataset(0)
+        offline.generate_dataset(0, seed=0)
 
 
 def test_fit_metrics_hand_values():
@@ -162,7 +162,7 @@ def test_train_offline_empty_training_set():
     net0 = offline.initialize_network(offline.generate_dataset(50, seed=0),
                                       m=3, p=2, seed=0)
     with pytest.raises(ValueError):
-        offline.train_offline(net0, data)
+        offline.train_offline(net0, data, epochs=200, seed=0)
 
 
 def test_evaluate_teacher_and_deploy_shapes():

@@ -27,7 +27,7 @@ TRAIN_TOL = 1e-10   # per element, checkpoint of a short training run
 def _ref_chunk_pass(net, chunk, with_jacobian):
     h = net.h_init.copy()
     F = np.empty(len(chunk))
-    J = np.empty((len(chunk), net.count_parameters())) if with_jacobian else None
+    J = np.empty((len(chunk), net.theta.size)) if with_jacobian else None
     for i, row in enumerate(chunk):
         y_hat, trace = net.forward(row[:-1], h_prev=h)
         F[i] = row[-1] - y_hat
@@ -126,10 +126,10 @@ def _ref_train(net, data, epochs, chunk_len=32, momentum=0.2, seed=0,
             seg = W_next[w_off:w_off + w_size]
             np.clip(seg, offline.WIDTH_FLOOR, None, out=seg)
             W_prev, W = W, W_next
-            net.from_vector(W)
+            net.theta = W
         loss = _ref_epoch_loss(net, chunks)
         if loss > loss_curve[-1]:
-            net.from_vector(W_epoch_start)
+            net.theta = W_epoch_start
             halted = epoch
             break
         loss_curve.append(loss)
@@ -299,4 +299,5 @@ def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
 def test_empty_training_set_still_raises():
     net, _ = next(_nets(500, 1))
     with pytest.raises(ValueError):
-        offline.train_offline(net, Dataset(samples=np.empty((0, 4))))
+        offline.train_offline(net, Dataset(samples=np.empty((0, 4))),
+                              epochs=200, seed=0)

@@ -21,10 +21,10 @@ def _net(seed=0, m=3, p=2):
 
 def test_trigger_strict_inequality():
     cfg = online.TriggerConfig(delta=0.01)
-    assert not online.should_trigger(0.01, cfg)
-    assert not online.should_trigger(-0.01, cfg)
-    assert online.should_trigger(0.0100001, cfg)
-    assert online.should_trigger(-5.0, cfg)
+    assert not online.should_trigger(0.01, cfg, math.inf)
+    assert not online.should_trigger(-0.01, cfg, math.inf)
+    assert online.should_trigger(0.0100001, cfg, math.inf)
+    assert online.should_trigger(-5.0, cfg, math.inf)
 
 
 def test_trigger_cooldown_gate():
@@ -507,12 +507,12 @@ def test_online_segments_are_a_prefix_of_the_layout():
             assert np.shares_memory(seg, net.theta[n:]) is not flag, name
         W = net.to_vector()
         assert net.theta[:n].tobytes() == W[:n].tobytes()
-        # writing the prefix is the masked round trip through from_vector
+        # writing the prefix is the masked round trip through theta
         new = W[:n] + rng.normal(size=n)
         ref = net.copy()
         W_ref = W.copy()
         W_ref[mask] = new
-        ref.from_vector(W_ref)
+        ref.theta = W_ref
         net.theta[:n] = new
         assert net.to_vector().tobytes() == ref.to_vector().tobytes()
         assert net.gate_b.shape == () and net.out_b.shape == ()
