@@ -63,6 +63,9 @@ class ScenarioConfig:
             raise ValueError(f"u_limit must be > 0, got {self.u_limit}")
         if not self.duration_s >= 0.0:
             raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
+        if self.buffer_capacity < 1:
+            raise ValueError(f"network.buffer_capacity must be >= 1, "
+                             f"got {self.buffer_capacity}")
         steps = self.duration_s / self.plant.Ts
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration_s must be an integer number of samples")
@@ -196,7 +199,7 @@ def run_scenario(cfg: ScenarioConfig,
     opt_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     opt = None
     if adaptive:
-        buf = ExperienceBuffer(cfg.buffer_capacity, net.n_in)
+        buf = ExperienceBuffer(cfg.buffer_capacity, net.n_in, net.p)
         opt = OnlineOptimizer(net, buf, cfg.trigger, opt_rng)
 
     state = pl.make_state(cfg.plant)
@@ -231,7 +234,7 @@ def run_scenario(cfg: ScenarioConfig,
 
         triggered, eta = 0.0, 0.0
         if opt is not None:
-            opt.buf.push(x_dep, y, abs(e_pred))
+            opt.buf.push(x_dep, trace.h_prev, y, abs(e_pred))
             event = opt.maybe_update(k, e_pred)
             if event is not None:
                 triggered, eta = 1.0, event.eta
@@ -252,7 +255,10 @@ def run_scenario(cfg: ScenarioConfig,
                   "controller": cfg.controller},
         events=opt.events if opt is not None else [],
     )
-    return trace, compute_metrics(trace, cfg.reference, cfg.plant.Ts)
+    metrics = compute_metrics(trace, cfg.reference, cfg.plant.Ts)
+    if net is None:
+        metrics.fit_mse_online = math.nan   # no model predicted y
+    return trace, metrics
 
 
 def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,

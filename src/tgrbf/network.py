@@ -207,8 +207,13 @@ class TgrbfNet:
         """Reset the hidden state for a new independent sequence."""
         self.h = self.h_init.copy()
 
-    def _inputs(self, x, h_prev) -> tuple[np.ndarray, np.ndarray]:
-        """Checked float input and its hidden state, broadcast for a batch."""
+    def forward(self, x, h_prev=None) -> tuple[float | np.ndarray, ForwardTrace]:
+        """Evaluate the network at input x with hidden state h_prev
+        (defaults to the stored state).  Pure: does not mutate self.
+
+        x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
+        is (s, p), one state per row, y is an (s,) array and every trace
+        field carries the batch axis."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
             raise ValueError(f"input must have shape ({self.n_in},) or "
@@ -216,20 +221,6 @@ class TgrbfNet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        if x.ndim == 2 and h_prev.ndim == 1:
-            # a shared state is copied per row: concatenating a stride-0
-            # broadcast view is slower than the copy
-            h_prev = h_prev[None, :].repeat(x.shape[0], axis=0)
-        return x, h_prev
-
-    def forward(self, x, h_prev=None) -> tuple[float | np.ndarray, ForwardTrace]:
-        """Evaluate the network at input x with hidden state h_prev
-        (defaults to the stored state).  Pure: does not mutate self.
-
-        x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
-        is (s, p) or one (p,) state shared by every row, y is an (s,)
-        array and every trace field carries the batch axis."""
-        x, h_prev = self._inputs(x, h_prev)
         y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, zeta, pre_zr, zr, xi, n = lgru_step(
             x, h_prev, self.W_zr, self.b_zr, self.W_h, self.b_h)

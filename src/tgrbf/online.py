@@ -18,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import lgru_step
-
 __all__ = [
     "TriggerConfig", "UpdateEvent", "ExperienceBuffer", "OnlineOptimizer",
     "should_trigger", "sample_batch", "residuals_and_jacobian",
     "explicit_step_size", "step_size_safeguard", "momentum_update",
-    "replay_hidden_state",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -74,17 +71,19 @@ def should_trigger(e_t: float, cfg: TriggerConfig,
 class ExperienceBuffer:
     """Bounded sample store with priority-aware FIFO eviction.
 
-    Rows of X (inputs), targets and priority hold the samples, oldest
-    first; the first len(buf) rows are in use.  When full, the row with the
-    smallest priority among the oldest ceil(N/4) is evicted (ties broken by
-    age, i.e. pure FIFO under equal priorities).
+    Rows of X (inputs), H (the hidden state the sample's deployment forward
+    started from), targets and priority hold the samples, oldest first; the
+    first len(buf) rows are in use.  When full, the row with the smallest
+    priority among the oldest ceil(N/4) is evicted (ties broken by age, i.e.
+    pure FIFO under equal priorities).
     """
 
-    def __init__(self, capacity: int, n_in: int):
+    def __init__(self, capacity: int, n_in: int, p: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.X = np.empty((capacity, n_in))
+        self.H = np.empty((capacity, p))
         self.targets = np.empty(capacity)
         self.priority = np.empty(capacity)
         self._n = 0
@@ -92,15 +91,16 @@ class ExperienceBuffer:
     def __len__(self) -> int:
         return self._n
 
-    def push(self, x, target: float, priority: float) -> None:
+    def push(self, x, h, target: float, priority: float) -> None:
         n = self._n
         if n == self.capacity:
             # argmin returns the first minimum: the oldest row wins ties
             evict = int(self.priority[:math.ceil(n / 4)].argmin())
-            for a in (self.X, self.targets, self.priority):
+            for a in (self.X, self.H, self.targets, self.priority):
                 a[evict:n - 1] = a[evict + 1:n]
             n -= 1
-        self.X[n], self.targets[n], self.priority[n] = x, target, priority
+        self.X[n], self.H[n] = x, h
+        self.targets[n], self.priority[n] = target, priority
         self._n = n + 1
 
 
@@ -111,27 +111,19 @@ def sample_batch(buf: ExperienceBuffer, s: int,
     return rng.choice(len(buf), size=min(s, len(buf)), replace=False)
 
 
-def replay_hidden_state(net, x: np.ndarray) -> np.ndarray:
-    """Hidden state used when replaying buffered samples: the LGRU step
-    alone (no RBF branch or gate) from h_init on each sample's own input,
-    after forward's input checks.  x is (n_in,) or a stacked (s, n_in)."""
-    x, h_init = net._inputs(x, net.h_init)
-    return lgru_step(x, h_init, net.W_zr, net.b_zr, net.W_h, net.b_h)[0]
-
-
-def _replay(net, X: np.ndarray, targets: np.ndarray):
-    """Residuals F_k = y_k - yhat_k of a batch of inputs X (s, n_in),
-    replayed with one batched recurrence step and one batched forward, and
-    that forward's trace."""
-    y_hat, trace = net.forward(X, h_prev=replay_hidden_state(net, X))
+def _replay(net, X: np.ndarray, H: np.ndarray, targets: np.ndarray):
+    """Residuals F_k = y_k - yhat_k of a batch of inputs X (s, n_in), each
+    replayed from its stored hidden state H (s, p) in one batched forward,
+    and that forward's trace."""
+    y_hat, trace = net.forward(X, h_prev=H)
     return targets - y_hat, trace
 
 
-def residuals_and_jacobian(net, X: np.ndarray,
+def residuals_and_jacobian(net, X: np.ndarray, H: np.ndarray,
                            targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
-    F, trace = _replay(net, X, targets)
+    F, trace = _replay(net, X, H, targets)
     return F, -net.jacobian_params(trace, online_only=True)
 
 
@@ -178,8 +170,8 @@ def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
     return W_next
 
 
-def batch_loss(net, X: np.ndarray, targets: np.ndarray) -> float:
-    F, _ = _replay(net, X, targets)
+def batch_loss(net, X: np.ndarray, H: np.ndarray, targets: np.ndarray) -> float:
+    F, _ = _replay(net, X, H, targets)
     return float(F @ F) / (2.0 * len(F))
 
 
@@ -195,15 +187,16 @@ class OnlineOptimizer:
         self.W_prev_masked = net.theta[:net.n_online].copy()
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
-        self._pending = None   # (event, X, targets) of a step awaiting settle()
+        self._pending = None   # (event, X, H, targets) of a step awaiting settle()
 
     def settle(self) -> None:
         """Set the last applied step's loss_after: its batch replayed under the
         theta it wrote.  Only maybe_update writes theta, the replay starts from
-        h_init and X, targets are copies, so this equals a replay in the step."""
+        the stored states and X, H, targets are copies, so this equals a
+        replay in the step."""
         if self._pending is not None:
-            event, X, targets = self._pending
-            event.loss_after = batch_loss(self.net, X, targets)
+            event, X, H, targets = self._pending
+            event.loss_after = batch_loss(self.net, X, H, targets)
             self._pending = None
 
     def maybe_update(self, k: int, e_pred: float) -> UpdateEvent | None:
@@ -218,8 +211,8 @@ class OnlineOptimizer:
             return None
         self.last_update_k = k
 
-        X, targets = self.buf.X[idx], self.buf.targets[idx]
-        F, J = residuals_and_jacobian(self.net, X, targets)
+        X, H, targets = self.buf.X[idx], self.buf.H[idx], self.buf.targets[idx]
+        F, J = residuals_and_jacobian(self.net, X, H, targets)
         s = len(idx)
         grad = (J.T @ F) / s
         loss_before = float(F @ F) / (2.0 * s)
@@ -250,7 +243,7 @@ class OnlineOptimizer:
         else:
             Wm[:] = Wm_next
             event.loss_after = math.nan
-            self._pending = (event, X, targets)
+            self._pending = (event, X, H, targets)
 
         # refresh replay priorities of the evaluated samples
         self.buf.priority[idx] = np.abs(F)

@@ -165,11 +165,11 @@ def test_criterion_07_trigger_no_mutation():
     # (a) |e| <= delta forced for an entire run: bit-identical parameters
     net = TgrbfNet.load(CHECKPOINT)
     cfg = online.TriggerConfig(delta=0.01)
-    buf = online.ExperienceBuffer(1000, net.n_in)
+    buf = online.ExperienceBuffer(1000, net.n_in, net.p)
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(64):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(x, float(rng.normal()), 1.0)
+        buf.push(x, net.h_init, float(rng.normal()), 1.0)
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(1)))
     before = net.to_vector().copy()
@@ -219,10 +219,10 @@ def test_criterion_08_buffer_policy_oracle():
         else:
             n = int(rng.integers(1, cap + 30))
         pr = rng.integers(0, 7, size=n).astype(float)
-        buf = online.ExperienceBuffer(capacity=cap, n_in=1)
+        buf = online.ExperienceBuffer(capacity=cap, n_in=1, p=1)
         for i, p in enumerate(pr):
             # the target carries the insertion index
-            buf.push(np.zeros(1), float(i), float(p))
+            buf.push(np.zeros(1), np.zeros(1), float(i), float(p))
             assert len(buf) <= cap, "capacity exceeded"
         got = [(p, int(i)) for p, i in
                zip(buf.priority[:len(buf)].tolist(), buf.targets[:len(buf)])]

@@ -71,13 +71,13 @@ def _ref_jacobian_params(net, tr):
     ])
 
 
-def _ref_residuals_and_jacobian(net, X, targets):
-    """The per-sample replay loop: two forwards from h_init, one Jacobian."""
+def _ref_residuals_and_jacobian(net, X, H, targets):
+    """The per-sample replay loop: one forward from each stored state, one
+    Jacobian."""
     mask = net.online_mask()
     F, J = [], []
-    for x, target in zip(X, targets):
-        _, tr0 = _ref_forward(net, x, net.h_init)
-        y_hat, tr = _ref_forward(net, x, tr0["h_next"])
+    for x, h, target in zip(X, H, targets):
+        y_hat, tr = _ref_forward(net, x, h)
         F.append(target - y_hat)
         J.append(-_ref_jacobian_params(net, tr)[mask])
     return np.array(F), np.array(J)
@@ -153,15 +153,6 @@ def test_batch_sizes_one_to_forty():
             _assert_batch_matches(net, X, H)
 
 
-def test_shared_hidden_state_broadcasts_over_the_batch():
-    net, X, _ = next(_cases(3, 1))
-    h = np.linspace(-0.3, 0.3, net.p)
-    y, tr = net.forward(X, h_prev=h)
-    assert tr.h_prev.shape == (len(X), net.p)
-    for i in range(len(X)):
-        assert _rel(y[i], _ref_forward(net, X[i], h)[0]) <= TOL
-
-
 def test_kink_pre_activations_match_exactly():
     """pre_z = x0 and pre_r = x1 exactly, placed on and next to 0 and 1."""
     rng = np.random.Generator(np.random.PCG64(4))
@@ -188,22 +179,14 @@ def test_kink_pre_activations_match_exactly():
 
 def test_residuals_and_jacobian_match_per_sample_replay():
     rng = np.random.Generator(np.random.PCG64(5))
-    for net, X, _ in _cases(6, 60):
+    for net, X, H in _cases(6, 60):
         targets = rng.normal(size=len(X))
-        F, J = online.residuals_and_jacobian(net, X, targets)
-        F_ref, J_ref = _ref_residuals_and_jacobian(net, X, targets)
+        F, J = online.residuals_and_jacobian(net, X, H, targets)
+        F_ref, J_ref = _ref_residuals_and_jacobian(net, X, H, targets)
         assert _rel(F, F_ref) <= TOL
         assert _rel(J, J_ref) <= TOL
-        assert online.batch_loss(net, X, targets) == pytest.approx(
+        assert online.batch_loss(net, X, H, targets) == pytest.approx(
             float(F_ref @ F_ref) / (2.0 * len(X)), rel=TOL)
-
-
-def test_replay_hidden_state_accepts_stacked_inputs():
-    net, X, _ = next(_cases(7, 1))
-    H = online.replay_hidden_state(net, X)
-    assert H.shape == (len(X), net.p)
-    for i in range(len(X)):
-        assert _rel(H[i], online.replay_hidden_state(net, X[i])) <= TOL
 
 
 def test_batched_forward_validation():

@@ -490,14 +490,20 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys, argv, doc, name):
     ({**_pid_doc(), "duration_s": -1}, "duration_s"),
     ({"controller": {"type": "pid", "control_sign": -1}, "duration_s": 0.01},
      "control_sign"),
+    ({**_pid_doc(), "network": {"buffer_capacity": 0}}, "buffer_capacity"),
+    ({"controller": {"type": "tgrbf_nc"}, "duration_s": 0.01,
+      "network": {"checkpoint": str(ROOT / "artifacts" / "network.json"),
+                  "buffer_capacity": 0}}, "buffer_capacity"),
 ], ids=["u_limit-negative", "u_limit-zero", "integral_limit-negative",
-        "duration_s-negative", "control_sign-unknown"])
+        "duration_s-negative", "control_sign-unknown", "buffer_capacity-pid",
+        "buffer_capacity-tgrbf_nc"])
 def test_cli_run_rejects_an_out_of_range_scenario_value_exit_2(tmp_path, capsys,
                                                                 doc, key):
     """u_limit -5 used to pin u at -5 (an inverted clamp), u_limit 0 to run
     with u = 0 and integral_limit -1 to pin the integral at -1, all exiting
     0; duration_s -1 exited 2 with numpy's message, which names no key.
-    control_sign is no longer a key."""
+    control_sign is no longer a key.  buffer_capacity 0 exited 0 with pid
+    (only tgrbf_nc builds a buffer) and 2 with tgrbf_nc, naming 'capacity'."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -505,6 +511,25 @@ def test_cli_run_rejects_an_out_of_range_scenario_value_exit_2(tmp_path, capsys,
     std, err = capsys.readouterr()
     assert err.startswith("error: ") and key in err and not std
     assert not out.exists()
+
+
+@pytest.mark.parametrize("checkpoint", [False, True],
+                         ids=["no-checkpoint", "checkpoint"])
+def test_cli_run_fit_mse_online_needs_a_network(tmp_path, checkpoint):
+    """Without a checkpoint nothing predicts y, so fit_mse_online is nan; it
+    used to be mean(y^2) of the second half.  With one it stays finite."""
+    doc = {"controller": {"type": "pid"}, "duration_s": 1.0}
+    if checkpoint:
+        doc["network"] = {"checkpoint": str(ROOT / "artifacts" / "network.json")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    rows = dict(line.split(",") for line in lines[1:])
+    fit = float(rows["fit_mse_online"])
+    assert math.isfinite(fit) if checkpoint else math.isnan(fit)
+    assert math.isfinite(float(rows["iae"]))
 
 
 @pytest.mark.parametrize("epochs,halted", [(0, None), (3, 0)])

@@ -208,6 +208,8 @@ def test_kernel_matches_kept_reference(batch):
         shape = (net.n_in,) if batch is None else (batch, net.n_in)
         x = rng.normal(size=shape)
         for h_prev in (None, rng.normal(size=shape[:-1] + (net.p,))):
+            if h_prev is None and batch is not None:
+                h_prev = np.tile(net.h, (batch, 1))   # a batch takes a state per row
             y, tr = net.forward(x, h_prev=h_prev)
             y_ref, tr_ref = _ref_forward(net, x, net.h if h_prev is None else h_prev)
             assert type(y) is type(y_ref) and _close(y, y_ref)
@@ -275,7 +277,7 @@ def test_input_jacobian_is_the_five_term_identity_of_param_columns(batch):
 def test_batched_input_jacobian_rows_equal_single_sample_calls():
     for net, rng in _nets(60):
         X, H = rng.normal(size=(7, net.n_in)), rng.normal(size=(7, net.p))
-        for h_prev in (H, H[0]):
+        for h_prev in (H, np.tile(H[0], (7, 1))):
             J = net.jacobian_input(net.forward(X, h_prev=h_prev)[1])
             assert J.shape == (7, net.n_in)
             for i in range(7):
@@ -293,8 +295,10 @@ def _rebuilt(net):
 def _same_as_rebuilt(net, rng):
     fresh = _rebuilt(net)
     for x in (rng.normal(size=net.n_in), rng.normal(size=(5, net.n_in))):
-        y, tr = net.forward(x)
-        y2, tr2 = fresh.forward(x)
+        # the stored state for one sample; a batch takes a state per row
+        h = None if x.ndim == 1 else np.tile(net.h, (len(x), 1))
+        y, tr = net.forward(x, h_prev=h)
+        y2, tr2 = fresh.forward(x, h_prev=h)
         if not (_same(y, y2) and _same_trace(tr, tr2)
                 and _same(net.jacobian_params(tr), fresh.jacobian_params(tr2))
                 and _same(net.jacobian_input(tr), fresh.jacobian_input(tr2))):
@@ -316,9 +320,10 @@ def test_stacked_views_see_every_write_to_theta():
     for name in ("W_zr", "b_zr", "W_x"):
         assert np.shares_memory(getattr(net, name), net.theta), name
 
-    buf = online.ExperienceBuffer(40, net.n_in)
+    buf = online.ExperienceBuffer(40, net.n_in, net.p)
     for _ in range(40):
-        buf.push(rng.normal(size=net.n_in), rng.normal(), 1.0)
+        buf.push(rng.normal(size=net.n_in), rng.normal(size=net.p),
+                 rng.normal(), 1.0)
     # no momentum: the safeguard cap is then s_min^2 / s_max^2 > 0
     opt = online.OnlineOptimizer(
         net, buf, online.TriggerConfig(batch_s=8, momentum_alpha=0.0), rng)
@@ -367,8 +372,6 @@ def test_closed_loop_matches_the_kept_reference_kernel(monkeypatch, config, seco
     monkeypatch.setattr(TgrbfNet, "jacobian_params", _ref_jacobian_params)
     monkeypatch.setattr(TgrbfNet, "jacobian_input", _ref_jacobian_input)
     monkeypatch.setattr(online, "step_size_safeguard", _ref_step_size_safeguard)
-    monkeypatch.setattr(online, "replay_hidden_state",
-                        lambda net, x: _ref_forward(net, x, net.h_init)[1].h_next)
     ref = harness.compare_controllers(cfg, net)
     trig = harness.TRACE_COLUMNS.index("triggered")
     for name in harness.CONTROLLER_TYPES:
@@ -417,28 +420,6 @@ def test_safeguard_matches_the_kept_svd_of_J():
                     paths.add("degenerate" if s_min_r <= 1e-6 else "other")
                     assert eta == eta_r
     assert paths == {"cap", "degenerate", "other"}
-
-
-# -- replay hidden state -----------------------------------------------------
-
-@pytest.mark.parametrize("batch", [None, 1, 32])
-def test_replay_hidden_state_equals_full_forward_state(batch):
-    for net, rng in _nets():
-        shape = (net.n_in,) if batch is None else (batch, net.n_in)
-        x = rng.normal(size=shape)
-        old = net.forward(x, h_prev=net.h_init)[1].h_next
-        assert _same(online.replay_hidden_state(net, x), old)
-
-
-def test_replay_hidden_state_keeps_input_checks():
-    net = random_net(3, 4, 2, np.random.default_rng(2))
-    for bad in (np.array([0.1, np.nan, 0.2]), np.array([[0.1, 0.2, np.inf]]),
-                np.array([0.1, 0.2, -np.inf])):
-        with pytest.raises(ValueError, match="non-finite"):
-            online.replay_hidden_state(net, bad)
-    for bad in (np.zeros(2), np.zeros(4), np.zeros((5, 2)), np.zeros((2, 5, 3))):
-        with pytest.raises(ValueError, match="shape"):
-            online.replay_hidden_state(net, bad)
 
 
 # -- trace export ------------------------------------------------------------

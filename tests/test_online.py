@@ -58,30 +58,30 @@ def test_trigger_config_rejects_negative_cooldown():
 # -- buffer ------------------------------------------------------------------
 
 def test_buffer_eviction_example():
-    buf = online.ExperienceBuffer(capacity=2, n_in=1)
+    buf = online.ExperienceBuffer(capacity=2, n_in=1, p=1)
     for p in (5.0, 1.0, 9.0):
-        buf.push(np.zeros(1), 0.0, p)
+        buf.push(np.zeros(1), np.zeros(1), 0.0, p)
     assert sorted(buf.priority[:len(buf)]) == [1.0, 9.0]
 
 
 def test_buffer_capacity_never_exceeded():
-    buf = online.ExperienceBuffer(capacity=3, n_in=1)
+    buf = online.ExperienceBuffer(capacity=3, n_in=1, p=1)
     for p in range(20):
-        buf.push(np.zeros(1), 0.0, float(p))
+        buf.push(np.zeros(1), np.zeros(1), 0.0, float(p))
         assert len(buf) <= 3
 
 
 def test_buffer_fifo_tie_break():
-    buf = online.ExperienceBuffer(capacity=4, n_in=1)
+    buf = online.ExperienceBuffer(capacity=4, n_in=1, p=1)
     for i in range(5):
-        buf.push(np.zeros(1), float(i), 1.0)   # the target records the order
+        buf.push(np.zeros(1), np.zeros(1), float(i), 1.0)   # the target records the order
     # equal priorities: the oldest row in the eviction window goes first
     assert buf.targets[:len(buf)].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_buffer_validation():
     with pytest.raises(ValueError):
-        online.ExperienceBuffer(capacity=0, n_in=1)
+        online.ExperienceBuffer(capacity=0, n_in=1, p=1)
 
 
 def brute_force_push(rows, row, capacity):
@@ -113,14 +113,17 @@ def test_buffer_matches_brute_force_small():
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(50):
         cap = int(rng.integers(1, 8))
-        buf = online.ExperienceBuffer(capacity=cap, n_in=2)
+        buf = online.ExperienceBuffer(capacity=cap, n_in=2, p=2)
         ref = []
         for i in range(int(rng.integers(1, 30))):
             row = (rng.normal(size=2).tolist(), float(i),
                    float(rng.integers(0, 5)))
-            buf.push(*row)
+            x, target, priority = row
+            buf.push(x, x, target, priority)   # H[i] = X[i] tracks the row
             ref = brute_force_push(ref, row, cap)
         _assert_rows(buf, ref)
+        # the stored states are shifted with the rows they belong to
+        assert buf.H[:len(buf)].tolist() == buf.X[:len(buf)].tolist()
 
 
 def test_priority_refresh_reaches_eviction():
@@ -129,11 +132,13 @@ def test_priority_refresh_reaches_eviction():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(3))
     residuals = [0.5, 0.1, 0.4, 0.05, 0.3, 0.2, 0.6, 0.7]
-    buf = online.ExperienceBuffer(capacity=len(residuals), n_in=net.n_in)
+    buf = online.ExperienceBuffer(capacity=len(residuals), n_in=net.n_in,
+                                  p=net.p)
     for r in residuals:
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        y, _ = net.forward(x, h_prev=online.replay_hidden_state(net, x))
-        buf.push(x, y + r, 10.0)
+        h = rng.uniform(-0.5, 0.5, size=net.p)
+        y, _ = net.forward(x, h_prev=h)
+        buf.push(x, h, y + r, 10.0)
     cfg = online.TriggerConfig(delta=0.01, batch_s=len(residuals))
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(0)))
@@ -142,7 +147,7 @@ def test_priority_refresh_reaches_eviction():
     ref = list(zip(buf.X.tolist(), buf.targets.tolist(), buf.priority.tolist()))
     for _ in range(4):
         row = ([0.0] * net.n_in, 0.0, 100.0)
-        buf.push(*row)
+        buf.push(row[0], net.h_init, *row[1:])
         ref = brute_force_push(ref, row, buf.capacity)
         _assert_rows(buf, ref)
     # stale priorities (all 10.0) would have evicted the four oldest
@@ -152,7 +157,7 @@ def test_priority_refresh_reaches_eviction():
 # -- batch sampling ----------------------------------------------------------
 
 def test_sample_batch_empty_buffer():
-    buf = online.ExperienceBuffer(4, n_in=3)
+    buf = online.ExperienceBuffer(4, n_in=3, p=2)
     rng = np.random.Generator(np.random.PCG64(0))
     assert len(online.sample_batch(buf, 8, rng)) == 0
     # and an update with nothing to replay is skipped
@@ -161,18 +166,18 @@ def test_sample_batch_empty_buffer():
 
 
 def test_sample_batch_caps_at_buffer_size_distinct():
-    buf = online.ExperienceBuffer(10, n_in=1)
+    buf = online.ExperienceBuffer(10, n_in=1, p=1)
     for p in range(5):
-        buf.push(np.zeros(1), 0.0, float(p))
+        buf.push(np.zeros(1), np.zeros(1), 0.0, float(p))
     rng = np.random.Generator(np.random.PCG64(0))
     idx = online.sample_batch(buf, 32, rng)
     assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
 
 
 def test_sample_batch_seeded_reproducible():
-    buf = online.ExperienceBuffer(100, n_in=1)
+    buf = online.ExperienceBuffer(100, n_in=1, p=1)
     for p in range(50):
-        buf.push(np.zeros(1), 0.0, float(p))
+        buf.push(np.zeros(1), np.zeros(1), 0.0, float(p))
     a = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
     b = online.sample_batch(buf, 8, np.random.Generator(np.random.PCG64(9)))
     assert len(a) == 8 and a.tolist() == b.tolist()
@@ -272,14 +277,14 @@ def test_linear_residual_loss_never_increases():
 # -- optimizer ---------------------------------------------------------------
 
 def _perfect_buffer(net, n=6, seed=0):
-    """Samples the network already fits exactly under the replay convention."""
+    """Samples the network already fits exactly from their stored states."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    buf = online.ExperienceBuffer(100, net.n_in)
+    buf = online.ExperienceBuffer(100, net.n_in, net.p)
     for _ in range(n):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        h = online.replay_hidden_state(net, x)
+        h = rng.uniform(-0.5, 0.5, size=net.p)
         y, _ = net.forward(x, h_prev=h)
-        buf.push(x, y, 0.0)
+        buf.push(x, h, y, 0.0)
     return buf
 
 
@@ -287,7 +292,8 @@ def test_residuals_vanish_on_perfect_fit():
     net = _net()
     buf = _perfect_buffer(net)
     n = len(buf)
-    F, J = online.residuals_and_jacobian(net, buf.X[:n], buf.targets[:n])
+    F, J = online.residuals_and_jacobian(net, buf.X[:n], buf.H[:n],
+                                         buf.targets[:n])
     assert np.max(np.abs(F)) < 1e-12
     assert J.shape == (len(buf), int(net.online_mask().sum()))
 
@@ -319,10 +325,10 @@ def test_perfect_batch_zero_momentum_leaves_net_unchanged():
 def test_update_respects_offline_mask():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(1))
-    buf = online.ExperienceBuffer(100, net.n_in)
+    buf = online.ExperienceBuffer(100, net.n_in, net.p)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(x, float(rng.normal()), 0.0)
+        buf.push(x, net.h_init, float(rng.normal()), 0.0)
     # zero momentum keeps the stability cap positive so the step is nonzero
     cfg = online.TriggerConfig(delta=0.01, momentum_alpha=0.0)
     opt = online.OnlineOptimizer(net, buf, cfg,
@@ -346,15 +352,16 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     after pushes have shifted the buffer's rows."""
     net = _net()
     rng = np.random.Generator(np.random.PCG64(4))
-    buf = online.ExperienceBuffer(50, net.n_in)
+    buf = online.ExperienceBuffer(50, net.n_in, net.p)
     for _ in range(40):
-        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 5.0)
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 5.0)
     seen, residuals = [], online.residuals_and_jacobian
 
     def spy(fn):
-        def wrapped(net_, X, targets):
-            seen.append((fn.__name__, X.copy(), targets.copy()))
-            return fn(net_, X, targets)
+        def wrapped(net_, X, H, targets):
+            seen.append((fn.__name__, X.copy(), H.copy(), targets.copy()))
+            return fn(net_, X, H, targets)
         return wrapped
 
     for name in ("residuals_and_jacobian", "batch_loss"):
@@ -362,24 +369,26 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     cfg = online.TriggerConfig(delta=0.01, batch_s=8, momentum_alpha=0.0)
     idx = online.sample_batch(buf, cfg.batch_s,
                               np.random.Generator(np.random.PCG64(11)))
-    X, targets = buf.X[idx].copy(), buf.targets[idx].copy()
+    X, H, targets = buf.X[idx].copy(), buf.H[idx].copy(), buf.targets[idx].copy()
     opt = online.OnlineOptimizer(net.copy(), buf, cfg,
                                  np.random.Generator(np.random.PCG64(11)))
     event = opt.maybe_update(0, 1.0)
     assert event is not None and not event.rejected
-    assert [name for name, _, _ in seen] == ["residuals_and_jacobian"]
-    F, _ = residuals(net, X, targets)
+    assert [name for name, *_ in seen] == ["residuals_and_jacobian"]
+    F, _ = residuals(net, X, H, targets)
     assert buf.priority[idx].tobytes() == np.abs(F).tobytes()
     rest = np.setdiff1d(np.arange(len(buf)), idx)
     assert np.all(buf.priority[rest] == 5.0)
 
     for _ in range(20):   # fills the buffer and evicts, shifting its rows
-        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
     assert opt.maybe_update(1, 0.0) is None
-    assert [name for name, _, _ in seen] == ["residuals_and_jacobian",
-                                             "batch_loss"]
-    for _, X_seen, t_seen in seen:
+    assert [name for name, *_ in seen] == ["residuals_and_jacobian",
+                                           "batch_loss"]
+    for _, X_seen, H_seen, t_seen in seen:
         assert X_seen.tobytes() == X.tobytes()
+        assert H_seen.tobytes() == H.tobytes()
         assert t_seen.tobytes() == targets.tobytes()
     assert math.isfinite(event.loss_after)
 
@@ -390,20 +399,22 @@ def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
     before its own step; a rejected step leaves nothing pending."""
     net = _net(4, 3, 2)
     rng = np.random.Generator(np.random.PCG64(5))
-    buf = online.ExperienceBuffer(50, net.n_in)
+    buf = online.ExperienceBuffer(50, net.n_in, net.p)
     for _ in range(20):
-        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
     calls, losses = [], []
     residuals, loss, step = (online.residuals_and_jacobian, online.batch_loss,
                              online.momentum_update)
 
-    def spy_residuals(net_, X, targets):
-        calls.append(("residuals", X.copy(), targets.copy()))
-        return residuals(net_, X, targets)
+    def spy_residuals(net_, X, H, targets):
+        calls.append(("residuals", X.copy(), H.copy(), targets.copy()))
+        return residuals(net_, X, H, targets)
 
-    def spy_loss(net_, X, targets):
-        calls.append(("loss", net_.theta.copy(), X.copy(), targets.copy()))
-        losses.append(loss(net_, X, targets))
+    def spy_loss(net_, X, H, targets):
+        calls.append(("loss", net_.theta.copy(), X.copy(), H.copy(),
+                      targets.copy()))
+        losses.append(loss(net_, X, H, targets))
         return losses[-1]
 
     def spy_step(*args):
@@ -426,13 +437,14 @@ def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
     assert not e1.rejected and math.isnan(e1.loss_after)
     assert [c[0] for c in calls] == ["residuals", "step", "loss",
                                      "residuals", "step"]
-    _, X0, t0 = calls[0]
-    _, theta_seen, X_seen, t_seen = calls[2]
+    _, X0, H0, t0 = calls[0]
+    _, theta_seen, X_seen, H_seen, t_seen = calls[2]
     assert theta_seen.tobytes() == theta0.tobytes()
     assert X_seen.tobytes() == X0.tobytes() and t_seen.tobytes() == t0.tobytes()
+    assert H_seen.tobytes() == H0.tobytes()
     ref = net.copy()
     ref.theta[:] = theta0
-    assert e0.loss_after == loss(ref, X0, t0) == losses[0]
+    assert e0.loss_after == loss(ref, X0, H0, t0) == losses[0]
 
     monkeypatch.setattr(online, "momentum_update", lambda *args: None)
     theta1 = net.theta.copy()
@@ -454,8 +466,8 @@ class _ReplayInTheStep(online.OnlineOptimizer):
         return event
 
 
-@pytest.mark.parametrize("config, duration_s", [("step.json", 2.0),
-                                                ("sine.json", 1.999)])
+@pytest.mark.parametrize("config, duration_s", [("step.json", 1.996),
+                                                ("sine.json", 2.0)])
 def test_settled_loss_after_equals_a_replay_inside_the_step(monkeypatch, config,
                                                             duration_s):
     """Every event of a shortened run, the fourth one forced to a rejected
@@ -517,11 +529,12 @@ def test_online_segments_are_a_prefix_of_the_layout():
         assert net.to_vector().tobytes() == ref.to_vector().tobytes()
         assert net.gate_b.shape == () and net.out_b.shape == ()
         # the sliced Jacobian is the masked one, bit for bit and row-major
-        X, targets = np.empty((5, 3)), np.empty(5)
+        X, H, targets = np.empty((5, 3)), np.empty((5, p)), np.empty(5)
         for i in range(5):
             X[i], targets[i] = rng.uniform(-1.0, 1.0, size=3), rng.normal()
-        _, J = online.residuals_and_jacobian(net, X, targets)
-        _, trace = online._replay(net, X, targets)
+            H[i] = rng.uniform(-0.5, 0.5, size=p)
+        _, J = online.residuals_and_jacobian(net, X, H, targets)
+        _, trace = online._replay(net, X, H, targets)
         J_ref = -np.compress(mask, net.jacobian_params(trace), axis=1)
         assert J.flags.c_contiguous and J.tobytes() == J_ref.tobytes()
 
@@ -531,9 +544,10 @@ def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
     a copy of the parameters before that write, not a view that follows it."""
     net = _net(4, 3, 2)
     rng = np.random.Generator(np.random.PCG64(5))
-    buf = online.ExperienceBuffer(50, net.n_in)
+    buf = online.ExperienceBuffer(50, net.n_in, net.p)
     for _ in range(20):
-        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in), float(rng.normal()), 0.0)
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
     calls, step = [], online.momentum_update
 
     def spy(W, W_prev, grad, eta, alpha):
@@ -559,10 +573,10 @@ def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
 def test_optimizer_cooldown_and_event_log():
     net = _net()
     rng = np.random.Generator(np.random.PCG64(1))
-    buf = online.ExperienceBuffer(100, net.n_in)
+    buf = online.ExperienceBuffer(100, net.n_in, net.p)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=net.n_in)
-        buf.push(x, float(rng.normal()), 0.0)
+        buf.push(x, net.h_init, float(rng.normal()), 0.0)
     cfg = online.TriggerConfig(delta=0.01, cooldown_steps=5)
     opt = online.OnlineOptimizer(net, buf, cfg,
                                  np.random.Generator(np.random.PCG64(2)))
@@ -575,9 +589,50 @@ def test_optimizer_cooldown_and_event_log():
         assert math.isfinite(e.grad_norm)
 
 
-def test_replay_hidden_state_deterministic():
-    net = _net()
-    x = np.array([0.1, -0.3, 0.8])
-    a = online.replay_hidden_state(net, x)
-    b = online.replay_hidden_state(net, x)
-    assert np.array_equal(a, b)
+def _shipped(config):
+    cfg = harness.load_config(ROOT / "configs" / config)
+    cfg.checkpoint = str(ROOT / "artifacts" / "network.json")
+    return cfg
+
+
+def _without_updates(cfg):
+    return dataclasses.replace(
+        cfg, trigger=dataclasses.replace(cfg.trigger, delta=1e9))
+
+
+@pytest.mark.parametrize("config", ["step.json", "sine.json"])
+def test_replay_gives_back_the_residuals_deployment_saw(monkeypatch, config):
+    """With no update the network does not change, so replaying every
+    buffered row from its stored hidden state gives each step's y - y_pred
+    of the trace, to 1e-12 of the recomputed prediction."""
+    cfg = _without_updates(_shipped(config))
+    cfg.duration_s = 0.5
+    optimizers = []
+
+    class Recorded(online.OnlineOptimizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            optimizers.append(self)
+
+    monkeypatch.setattr(harness, "OnlineOptimizer", Recorded)
+    trace, rep = harness.run_scenario(cfg)
+    (opt,) = optimizers
+    buf, n = opt.buf, len(opt.buf)
+    assert rep.update_count == 0 and n == cfg.n_steps
+    assert buf.targets[:n].tobytes() == trace.col("y").tobytes()
+    F, _ = online._replay(opt.net, buf.X[:n], buf.H[:n], buf.targets[:n])
+    y_pred = trace.col("y_pred")
+    want = trace.col("y") - y_pred
+    assert np.all(np.abs(F - want)
+                  <= 1e-12 * np.maximum(np.abs(want), np.abs(y_pred)))
+
+
+@pytest.mark.parametrize("config", ["step.json", "sine.json"])
+def test_online_updates_do_not_worsen_the_online_fit(config):
+    """At the shipped config and seed, fit_mse_online with event-triggered
+    updates is no higher than in the same run without any."""
+    cfg = _shipped(config)
+    _, adapted = harness.run_scenario(cfg)
+    _, frozen = harness.run_scenario(_without_updates(cfg))
+    assert adapted.update_count > 0 and frozen.update_count == 0
+    assert adapted.fit_mse_online <= frozen.fit_mse_online
