@@ -154,7 +154,9 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    # an OSError (a missing config, a directory given as one, an --out that
+    # names a file) carries the path in its message
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

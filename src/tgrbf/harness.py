@@ -171,7 +171,7 @@ class MetricsReport:
     settling_time_s: float = math.nan
     settled: bool = False
     update_count: int = 0
-    fit_mse_online: float = 0.0
+    fit_mse_online: float = math.nan   # nan when nothing was predicted
 
     def as_rows(self) -> list[tuple[str, float]]:
         return [(f.name, float(getattr(self, f.name))) for f in fields(self)]
@@ -217,6 +217,9 @@ def run_scenario(cfg: ScenarioConfig,
         y = pl.output(state, cfg.plant)
         if abs(y) > 1e6:
             raise RunAborted(f"output diverged at step {k}: y = {y}")
+        if opt is not None:
+            # last step's update finishes before the network predicts again
+            _settle(opt, data)
         e = r - y
 
         y_pred, g_val, dym_du, e_pred = 0.0, 0.0, 0.0, 0.0
@@ -236,7 +239,7 @@ def run_scenario(cfg: ScenarioConfig,
         if opt is not None:
             opt.buf.push(x_dep, trace.h_prev, y, abs(e_pred))
             event = opt.maybe_update(k, e_pred)
-            if event is not None:
+            if event is not None:   # eta is nan until the update settles
                 triggered, eta = 1.0, event.eta
             gains = ctl.adapt_gains(gains, e, dym_du)
 
@@ -247,7 +250,7 @@ def run_scenario(cfg: ScenarioConfig,
         u_prev, y_last = u, y
 
     if opt is not None:
-        opt.settle()
+        _settle(opt, data)
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,
@@ -259,6 +262,14 @@ def run_scenario(cfg: ScenarioConfig,
     if net is None:
         metrics.fit_mse_online = math.nan   # no model predicted y
     return trace, metrics
+
+
+def _settle(opt: OnlineOptimizer, data: np.ndarray) -> None:
+    """Finish the optimizer's waiting update, if any, and log its step size
+    in the row of the step that triggered it."""
+    event = opt.settle()
+    if event is not None:
+        data[event.k, TRACE_COLUMNS.index("eta")] = event.eta
 
 
 def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
@@ -278,7 +289,7 @@ def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
     )
     half = trace.data.shape[0] // 2
     resid = y[half:] - trace.col("y_pred")[half:]
-    rep.fit_mse_online = float(np.mean(resid ** 2)) if resid.size else 0.0
+    rep.fit_mse_online = float(np.mean(resid ** 2))
 
     if ref.kind == "step":
         r_final = ref.amplitude

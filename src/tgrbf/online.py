@@ -51,14 +51,15 @@ class TriggerConfig:
 @dataclass
 class UpdateEvent:
     k: int
-    eta: float
     loss_before: float
-    loss_after: float            # nan until OnlineOptimizer.settle()
     grad_norm: float
-    safeguard_hit: bool
-    sigma_min: float = 0.0
-    sigma_max: float = 0.0
-    eta_explicit: float = 0.0
+    eta_explicit: float
+    # set by OnlineOptimizer.settle(), which finishes the update
+    eta: float = math.nan
+    loss_after: float = math.nan
+    safeguard_hit: bool = False
+    sigma_min: float = math.nan
+    sigma_max: float = math.nan
     rejected: bool = False
 
 
@@ -72,35 +73,54 @@ class ExperienceBuffer:
     """Bounded sample store with priority-aware FIFO eviction.
 
     Rows of X (inputs), H (the hidden state the sample's deployment forward
-    started from), targets and priority hold the samples, oldest first; the
-    first len(buf) rows are in use.  When full, the row with the smallest
-    priority among the oldest ceil(N/4) is evicted (ties broken by age, i.e.
-    pure FIFO under equal priorities).
+    started from), targets and priority are the samples in use, oldest
+    first.  When full, the row with the smallest priority among the oldest
+    ceil(N/4) is evicted (ties broken by age, i.e. pure FIFO under equal
+    priorities).
+
+    The rows in use are a window [start, start + len) of stores twice the
+    capacity.  An eviction moves only the rows older than the evicted one,
+    one place newer, and advances the start; the window is copied down to
+    the front once every `capacity` evictions.
     """
 
     def __init__(self, capacity: int, n_in: int, p: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.X = np.empty((capacity, n_in))
-        self.H = np.empty((capacity, p))
-        self.targets = np.empty(capacity)
-        self.priority = np.empty(capacity)
+        self._X = np.empty((2 * capacity, n_in))
+        self._H = np.empty((2 * capacity, p))
+        self._targets = np.empty(2 * capacity)
+        self._priority = np.empty(2 * capacity)
+        self._start = 0
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
+    X = property(lambda self: self._X[self._start:self._start + self._n])
+    H = property(lambda self: self._H[self._start:self._start + self._n])
+    targets = property(
+        lambda self: self._targets[self._start:self._start + self._n])
+    priority = property(
+        lambda self: self._priority[self._start:self._start + self._n])
+
     def push(self, x, h, target: float, priority: float) -> None:
-        n = self._n
+        s, n = self._start, self._n
         if n == self.capacity:
             # argmin returns the first minimum: the oldest row wins ties
-            evict = int(self.priority[:math.ceil(n / 4)].argmin())
-            for a in (self.X, self.H, self.targets, self.priority):
-                a[evict:n - 1] = a[evict + 1:n]
-            n -= 1
-        self.X[n], self.H[n] = x, h
-        self.targets[n], self.priority[n] = target, priority
+            evict = int(self._priority[s:s + math.ceil(n / 4)].argmin())
+            stores = (self._X, self._H, self._targets, self._priority)
+            for a in stores:
+                a[s + 1:s + evict + 1] = a[s:s + evict]
+            s, n = s + 1, n - 1
+            if s + n == 2 * self.capacity:   # no room after the window
+                for a in stores:
+                    a[:n] = a[s:s + n]
+                s = 0
+            self._start = s
+        self._X[s + n], self._H[s + n] = x, h
+        self._targets[s + n], self._priority[s + n] = target, priority
         self._n = n + 1
 
 
@@ -187,22 +207,49 @@ class OnlineOptimizer:
         self.W_prev_masked = net.theta[:net.n_online].copy()
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
-        self._pending = None   # (event, X, H, targets) of a step awaiting settle()
+        self._pending = None   # a triggered update awaiting settle()
 
-    def settle(self) -> None:
-        """Set the last applied step's loss_after: its batch replayed under the
-        theta it wrote.  Only maybe_update writes theta, the replay starts from
-        the stored states and X, H, targets are copies, so this equals a
-        replay in the step."""
-        if self._pending is not None:
-            event, X, H, targets = self._pending
+    def settle(self) -> UpdateEvent | None:
+        """Finish the update the last triggering maybe_update call began: cap
+        its step with the safeguard, write theta[:n_online] and, for an
+        applied step, replay its batch under the new theta for loss_after.
+        Returns the event it finished, or None when nothing waits.
+
+        Only this writes theta, the replays start from the stored states and
+        the batch rows are copies, so a caller that settles before anything
+        else reads theta gets the bits of an update run whole inside the
+        triggering call."""
+        if self._pending is None:
+            return None
+        event, X, H, targets, J, grad, degenerate = self._pending
+        self._pending = None
+        alpha = self.cfg.momentum_alpha
+        eta0 = self.cfg.eta_max if degenerate else event.eta_explicit
+        eta, hit, event.sigma_min, event.sigma_max = step_size_safeguard(
+            eta0, J, alpha, self.cfg.eta_max)
+        event.safeguard_hit = hit or degenerate
+
+        Wm = self.net.theta[:self.net.n_online]   # a view, written below
+        Wm_next = momentum_update(Wm, self.W_prev_masked, grad, eta, alpha)
+        # the parameters before this step; a rejected step keeps them, which
+        # drops the stale momentum
+        self.W_prev_masked = Wm.copy()
+        if Wm_next is None:
+            event.rejected, event.eta = True, 0.0
+            event.loss_after = event.loss_before
+        else:
+            Wm[:] = Wm_next
+            event.eta = eta
             event.loss_after = batch_loss(self.net, X, H, targets)
-            self._pending = None
+        return event
 
     def maybe_update(self, k: int, e_pred: float) -> UpdateEvent | None:
-        """Run one triggered update if warranted; returns the event or None
-        (skipped).  A rejected step leaves the network unchanged.  Settles
-        the previous step first; this step's loss_after is nan until settled."""
+        """Begin one triggered update if warranted; returns the event or None
+        (skipped).  Settles the previous update first.  This call replays
+        the batch, builds its Jacobian and explicit step size and refreshes
+        the batch's priorities; the step, its safeguard and loss_after wait
+        for settle(), and theta is unchanged until then.  A rejected step
+        leaves the network unchanged."""
         self.settle()
         if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
             return None
@@ -215,35 +262,11 @@ class OnlineOptimizer:
         F, J = residuals_and_jacobian(self.net, X, H, targets)
         s = len(idx)
         grad = (J.T @ F) / s
-        loss_before = float(F @ F) / (2.0 * s)
-
         eta_explicit, degenerate = explicit_step_size(F, J)
-        if degenerate:
-            eta0 = self.cfg.eta_max
-        else:
-            eta0 = eta_explicit
-        eta, hit, s_min, s_max = step_size_safeguard(
-            eta0, J, self.cfg.momentum_alpha, self.cfg.eta_max)
-        hit = hit or degenerate
-
-        Wm = self.net.theta[:self.net.n_online]   # a view, written below
-        Wm_next = momentum_update(Wm, self.W_prev_masked, grad, eta,
-                                  self.cfg.momentum_alpha)
-        # the parameters before this step; a rejected step keeps them, which
-        # drops the stale momentum
-        self.W_prev_masked = Wm.copy()
-        event = UpdateEvent(k=k, eta=eta, loss_before=loss_before,
-                            loss_after=loss_before,
+        event = UpdateEvent(k=k, loss_before=float(F @ F) / (2.0 * s),
                             grad_norm=math.sqrt(float(grad @ grad)),
-                            safeguard_hit=hit, sigma_min=s_min,
-                            sigma_max=s_max, eta_explicit=eta_explicit)
-        if Wm_next is None:
-            event.rejected = True
-            event.eta = 0.0
-        else:
-            Wm[:] = Wm_next
-            event.loss_after = math.nan
-            self._pending = (event, X, H, targets)
+                            eta_explicit=eta_explicit)
+        self._pending = (event, X, H, targets, J, grad, degenerate)
 
         # refresh replay priorities of the evaluated samples
         self.buf.priority[idx] = np.abs(F)

@@ -532,6 +532,45 @@ def test_cli_run_fit_mse_online_needs_a_network(tmp_path, checkpoint):
     assert math.isfinite(float(rows["iae"]))
 
 
+def test_cli_zero_step_run_reports_no_fit(tmp_path):
+    """duration_s 0 is a run of no steps: with a checkpoint it used to write
+    fit_mse_online 0, a perfect fit from no predictions."""
+    doc = {"duration_s": 0.0,
+           "network": {"checkpoint": str(ROOT / "artifacts" / "network.json")}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    rows = dict(line.split(",") for line in lines[1:])
+    assert math.isnan(float(rows["fit_mse_online"]))
+    assert float(rows["update_count"]) == 0.0
+
+
+@pytest.mark.parametrize("command, where", [
+    ("run", "config"), ("run", "out"), ("identify", "out")],
+    ids=["run-config-is-a-directory", "run-out-is-a-file",
+         "identify-out-is-a-file"])
+def test_cli_os_error_exit_2(tmp_path, capsys, command, where):
+    """A directory given as --config, or an --out that names a file, used to
+    exit 1 with a traceback (IsADirectoryError, FileExistsError), the code
+    gradcheck uses for a failed audit.  The file is left as it was."""
+    doc = _pid_doc() if command == "run" else {"n_samples": 50, "epochs": 0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if where == "config":
+        cfg, path = tmp_path, tmp_path
+    else:
+        out.write_text("keep")
+        path = out
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    std, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(path) in err and not std
+    if where == "out":
+        assert out.read_text() == "keep"
+
+
 @pytest.mark.parametrize("epochs,halted", [(0, None), (3, 0)])
 def test_cli_identify_fit_report_keeps_halt_and_deploy_rows(tmp_path, epochs,
                                                             halted):

@@ -329,8 +329,8 @@ def test_stacked_views_see_every_write_to_theta():
         net, buf, online.TriggerConfig(batch_s=8, momentum_alpha=0.0), rng)
     before = net.to_vector()
     event = opt.maybe_update(0, 1.0)
-    assert event is not None and not event.rejected
-    assert not np.array_equal(net.theta, before)
+    assert event is not None and opt.settle() is event
+    assert not event.rejected and not np.array_equal(net.theta, before)
     assert _same_as_rebuilt(net, rng)
 
     net.theta = net.to_vector() * rng.uniform(0.5, 1.5, size=net.theta.size)

@@ -318,7 +318,7 @@ def test_perfect_batch_zero_momentum_leaves_net_unchanged():
                                  np.random.Generator(np.random.PCG64(0)))
     before = net.to_vector().copy()
     event = opt.maybe_update(0, 1.0)   # forced trigger, zero residuals
-    assert event is not None
+    assert event is not None and opt.settle() is event
     assert np.array_equal(net.to_vector(), before)
 
 
@@ -335,8 +335,8 @@ def test_update_respects_offline_mask():
                                  np.random.Generator(np.random.PCG64(2)))
     before = net.to_vector().copy()
     event = opt.maybe_update(0, 1.0)
-    assert event is not None and not event.rejected
-    assert event.eta > 0.0
+    assert event is not None and opt.settle() is event
+    assert not event.rejected and event.eta > 0.0
     after = net.to_vector()
     mask = net.online_mask()
     assert np.array_equal(after[~mask], before[~mask])
@@ -373,7 +373,7 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     opt = online.OnlineOptimizer(net.copy(), buf, cfg,
                                  np.random.Generator(np.random.PCG64(11)))
     event = opt.maybe_update(0, 1.0)
-    assert event is not None and not event.rejected
+    assert event is not None
     assert [name for name, *_ in seen] == ["residuals_and_jacobian"]
     F, _ = residuals(net, X, H, targets)
     assert buf.priority[idx].tobytes() == np.abs(F).tobytes()
@@ -383,7 +383,8 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     for _ in range(20):   # fills the buffer and evicts, shifting its rows
         buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
                  rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
-    assert opt.maybe_update(1, 0.0) is None
+    assert opt.maybe_update(1, 0.0) is None   # settles the update first
+    assert not event.rejected
     assert [name for name, *_ in seen] == ["residuals_and_jacobian",
                                            "batch_loss"]
     for _, X_seen, H_seen, t_seen in seen:
@@ -395,8 +396,10 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
 
 def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
     """With cooldown 0 and triggers on consecutive steps, the next call
-    replays the pending batch under the parameters the last step wrote,
-    before its own step; a rejected step leaves nothing pending."""
+    first finishes the pending update: it writes the step, then replays the
+    pending batch under the parameters the step wrote, and only then
+    replays its own batch.  A rejected step writes nothing and replays
+    nothing."""
     net = _net(4, 3, 2)
     rng = np.random.Generator(np.random.PCG64(5))
     buf = online.ExperienceBuffer(50, net.n_in, net.p)
@@ -408,7 +411,8 @@ def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
                              online.momentum_update)
 
     def spy_residuals(net_, X, H, targets):
-        calls.append(("residuals", X.copy(), H.copy(), targets.copy()))
+        calls.append(("residuals", net_.theta.copy(), X.copy(), H.copy(),
+                      targets.copy()))
         return residuals(net_, X, H, targets)
 
     def spy_loss(net_, X, H, targets):
@@ -430,35 +434,75 @@ def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
         np.random.Generator(np.random.PCG64(6)))
     theta_start = net.theta.copy()
     e0 = opt.maybe_update(0, 1.0)
-    assert not e0.rejected and math.isnan(e0.loss_after)
+    assert math.isnan(e0.eta) and math.isnan(e0.loss_after)
+    assert net.theta.tobytes() == theta_start.tobytes()
+    e1 = opt.maybe_update(1, 1.0)
+    assert not e0.rejected and e0.eta > 0.0 and math.isnan(e1.loss_after)
     theta0 = net.theta.copy()
     assert not np.array_equal(theta0, theta_start)
-    e1 = opt.maybe_update(1, 1.0)
-    assert not e1.rejected and math.isnan(e1.loss_after)
-    assert [c[0] for c in calls] == ["residuals", "step", "loss",
-                                     "residuals", "step"]
-    _, X0, H0, t0 = calls[0]
-    _, theta_seen, X_seen, H_seen, t_seen = calls[2]
-    assert theta_seen.tobytes() == theta0.tobytes()
-    assert X_seen.tobytes() == X0.tobytes() and t_seen.tobytes() == t0.tobytes()
-    assert H_seen.tobytes() == H0.tobytes()
+    assert [c[0] for c in calls] == ["residuals", "step", "loss", "residuals"]
+    (_, theta_r0, *batch0), (_, theta_l0, *batch_l0), (_, theta_r1, *_) = (
+        calls[0], calls[2], calls[3])
+    assert theta_r0.tobytes() == theta_start.tobytes()
+    assert theta_l0.tobytes() == theta_r1.tobytes() == theta0.tobytes()
+    for a, b in zip(batch0, batch_l0):   # X, H, targets
+        assert a.tobytes() == b.tobytes()
     ref = net.copy()
     ref.theta[:] = theta0
-    assert e0.loss_after == loss(ref, X0, H0, t0) == losses[0]
+    assert e0.loss_after == loss(ref, *batch0) == losses[0]
 
     monkeypatch.setattr(online, "momentum_update", lambda *args: None)
-    theta1 = net.theta.copy()
-    e2 = opt.maybe_update(2, 1.0)
-    assert e2.rejected and e2.loss_after == e2.loss_before
-    last_loss = [c for c in calls if c[0] == "loss"][-1]
-    assert e1.loss_after == losses[1] and last_loss[1].tobytes() == theta1.tobytes()
-    opt.settle()
-    assert len(losses) == 2 and net.theta.tobytes() == theta1.tobytes()
+    e2 = opt.maybe_update(2, 1.0)   # settles e1, whose step is rejected
+    assert e1.rejected and e1.eta == 0.0 and e1.loss_after == e1.loss_before
+    assert opt.settle() is e2 and e2.rejected and opt.settle() is None
+    assert e2.loss_after == e2.loss_before
+    assert [c[0] for c in calls][4:] == ["residuals"] and len(losses) == 1
+    assert net.theta.tobytes() == theta0.tobytes()
 
 
-class _ReplayInTheStep(online.OnlineOptimizer):
-    """The reference: the post-step replay runs inside the call that applies
-    the step, as the update did before the replay moved to the next call."""
+def test_the_triggering_call_leaves_the_safeguard_and_the_step_to_settle(
+        monkeypatch):
+    """maybe_update makes no step_size_safeguard or momentum_update call and
+    leaves theta as it was; the settle() after it makes one call of each,
+    and the event's step fields read nan until then."""
+    net = _net(4, 3, 2)
+    rng = np.random.Generator(np.random.PCG64(5))
+    buf = online.ExperienceBuffer(50, net.n_in, net.p)
+    for _ in range(20):
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for name in ("step_size_safeguard", "momentum_update"):
+        monkeypatch.setattr(online, name, spy(getattr(online, name)))
+    opt = online.OnlineOptimizer(net, buf, online.TriggerConfig(
+        delta=0.01, batch_s=1, momentum_alpha=0.1),
+        np.random.Generator(np.random.PCG64(6)))
+    before = net.theta.copy()
+    event = opt.maybe_update(0, 1.0)
+    assert event is not None and calls == []
+    assert net.theta.tobytes() == before.tobytes()
+    assert all(math.isnan(v) for v in (event.eta, event.sigma_min,
+                                       event.sigma_max, event.loss_after))
+    assert opt.settle() is event
+    assert calls == ["step_size_safeguard", "momentum_update"]
+    assert not event.rejected and event.eta > 0.0
+    assert not np.array_equal(net.theta, before)
+    assert all(math.isfinite(v) for v in (event.sigma_min, event.sigma_max,
+                                          event.loss_after))
+    assert opt.settle() is None and len(calls) == 2
+
+
+class _WholeUpdateInTheCall(online.OnlineOptimizer):
+    """The reference: the safeguard, the step and the post-step replay run
+    inside the call that triggers the update, as the update did before its
+    second half moved to settle()."""
 
     def maybe_update(self, k, e_pred):
         event = super().maybe_update(k, e_pred)
@@ -466,16 +510,22 @@ class _ReplayInTheStep(online.OnlineOptimizer):
         return event
 
 
-@pytest.mark.parametrize("config, duration_s", [("step.json", 1.996),
-                                                ("sine.json", 2.0)])
-def test_settled_loss_after_equals_a_replay_inside_the_step(monkeypatch, config,
-                                                            duration_s):
-    """Every event of a shortened run, the fourth one forced to a rejected
-    step, equals the reference's bit for bit, loss_after included.  Each
-    duration ends on an update, so run_scenario settles the last event."""
+@pytest.mark.parametrize("config, duration_s, cooldown_steps", [
+    ("step.json", 1.996, None), ("sine.json", 2.0, None),
+    ("sine.json", 0.5, 0)], ids=["step.json-1.996", "sine.json-2.0",
+                                 "sine.json-cooldown0"])
+def test_settled_loss_after_equals_a_replay_inside_the_step(
+        monkeypatch, config, duration_s, cooldown_steps):
+    """The trace and every event of a shortened run, the fourth event forced
+    to a rejected step, equal the reference's bit for bit.  Each duration
+    ends on an update, so run_scenario settles the last event after its
+    loop; with cooldown 0 updates also trigger on consecutive steps."""
     cfg = harness.load_config(ROOT / "configs" / config)
     cfg.checkpoint = str(ROOT / "artifacts" / "network.json")
     cfg.duration_s = duration_s
+    if cooldown_steps is not None:
+        cfg.trigger = dataclasses.replace(cfg.trigger,
+                                          cooldown_steps=cooldown_steps)
     step = online.momentum_update
 
     def run(optimizer):
@@ -485,19 +535,24 @@ def test_settled_loss_after_equals_a_replay_inside_the_step(monkeypatch, config,
         monkeypatch.setattr(harness, "OnlineOptimizer", optimizer)
         return harness.run_scenario(cfg)[0]
 
-    ref, got = run(_ReplayInTheStep), run(online.OnlineOptimizer)
+    ref, got = run(_WholeUpdateInTheCall), run(online.OnlineOptimizer)
     assert got.data.tobytes() == ref.data.tobytes()
 
     def rows(trace):
         return np.array([dataclasses.astuple(e) for e in trace.events], float)
 
     assert len(got.events) > 4 and rows(got).tobytes() == rows(ref).tobytes()
+    assert np.isfinite(rows(got)).all()
     rejected = got.events[3]
     assert rejected.rejected and rejected.loss_after == rejected.loss_before
     assert [e.rejected for e in got.events].count(True) == 1
     last = got.events[-1]
     assert last.k == cfg.n_steps - 1 and not last.rejected
     assert math.isfinite(last.loss_after)
+    assert got.col("eta")[last.k] == last.eta > 0.0
+    if cooldown_steps == 0:
+        ks = np.array([e.k for e in got.events])
+        assert np.any(np.diff(ks) == 1)
 
 
 def test_online_segments_are_a_prefix_of_the_layout():
@@ -562,7 +617,9 @@ def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
         np.random.Generator(np.random.PCG64(6)))
     W0 = net.theta[:net.n_online].copy()
     for k in range(3):
-        assert not opt.maybe_update(k, 1.0).rejected
+        assert opt.maybe_update(k, 1.0) is not None
+    opt.settle()
+    assert len(calls) == 3 and not any(e.rejected for e in opt.events)
     assert np.array_equal(calls[0][0], W0) and np.array_equal(calls[0][1], W0)
     for (W, _, W_next), (W_after, W_prev_after, _) in zip(calls, calls[1:]):
         assert np.array_equal(W_after, W_next)
@@ -584,6 +641,7 @@ def test_optimizer_cooldown_and_event_log():
     assert opt.maybe_update(3, 1.0) is None     # inside cooldown
     assert opt.maybe_update(5, 1.0) is not None
     assert [e.k for e in opt.events] == [0, 5]
+    assert opt.settle() is opt.events[-1] and opt.settle() is None
     for e in opt.events:
         assert e.eta <= cfg.eta_max
         assert math.isfinite(e.grad_norm)
