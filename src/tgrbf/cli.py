@@ -50,9 +50,9 @@ def cmd_identify(args) -> int:
     ckpt = os.path.join(args.out, "network.json")
     net.save(ckpt)
     offline.dataset_to_csv(data, os.path.join(args.out, "dataset.csv"))
-    # reference: the persistence predictor y_hat = y_prev on the holdout
+    # reference: the persistence predictor y_hat[k + 1] = y[k] on the holdout
     hold = data.holdout()
-    persistence = offline.fit_metrics(hold[:, 1], hold[:, -1])
+    persistence = offline.fit_metrics(hold.y[:-1], hold.y[1:])
     # every value parses with float(): nan when training did not halt
     halted = report.halted_epoch
     offline._write_csv(

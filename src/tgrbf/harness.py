@@ -20,7 +20,7 @@ from . import __version__
 from . import control as ctl
 from . import plant as pl
 from .network import TgrbfNet
-from .offline import _write_csv, deploy_input
+from .offline import HISTORY_LEN, Dataset, _write_csv
 from .online import ExperienceBuffer, OnlineOptimizer, TriggerConfig
 
 __all__ = [
@@ -182,9 +182,9 @@ def run_scenario(cfg: ScenarioConfig,
     """Execute one closed-loop scenario.  Returns (trace, metrics).
 
     The network (when present) predicts the current output each step from
-    the deploy-mode input; its prediction error drives the experience buffer
-    and, for the adaptive controller, the event-triggered optimizer and the
-    gain adaptation.
+    the deployment regressor row of the loop's history; its prediction error
+    drives the experience buffer and, for the adaptive controller, the
+    event-triggered optimizer and the gain adaptation.
     """
     if net is None and cfg.checkpoint:
         net = TgrbfNet.load(cfg.checkpoint)
@@ -207,7 +207,7 @@ def run_scenario(cfg: ScenarioConfig,
     if cfg.controller == "nc_fixed" and cfg.nc_gains is not None:
         gains = cfg.nc_gains
     pid = cfg.pid
-    u_prev, y_last = 0.0, 0.0
+    history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
     data = np.zeros((n, len(TRACE_COLUMNS)))
 
@@ -221,11 +221,12 @@ def run_scenario(cfg: ScenarioConfig,
             # last step's update finishes before the network predicts again
             _settle(opt, data)
         e = r - y
+        history.y[:-1], history.y[-1] = history.y[1:], y
 
         y_pred, g_val, dym_du, e_pred = 0.0, 0.0, 0.0, 0.0
         if net is not None:
-            x_dep = deploy_input(u_prev, y_last)
-            y_pred, trace = net.advance(x_dep)
+            X, targets = history.regressor(deploy=True)
+            y_pred, trace = net.advance(X[-1])
             g_val = trace.g
             dym_du = float(net.jacobian_input(trace)[0])
             e_pred = y - y_pred
@@ -237,7 +238,7 @@ def run_scenario(cfg: ScenarioConfig,
 
         triggered, eta = 0.0, 0.0
         if opt is not None:
-            opt.buf.push(x_dep, trace.h_prev, y, abs(e_pred))
+            opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(e_pred))
             event = opt.maybe_update(k, e_pred)
             if event is not None:   # eta is nan until the update settles
                 triggered, eta = 1.0, event.eta
@@ -247,7 +248,7 @@ def run_scenario(cfg: ScenarioConfig,
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, gains.k1, gains.k2, dym_du,
                    g_val, triggered, eta)
-        u_prev, y_last = u, y
+        history.u[:-1], history.u[-1] = history.u[1:], u
 
     if opt is not None:
         _settle(opt, data)

@@ -1,10 +1,10 @@
 """Dataset generation from the nominal model, teacher-forcing training of
 the network, and fit-quality metrics.
 
-A dataset row is [u_k, y_{k-1}, y_k, target y_k]: the input x_k is its first
-three columns (the teacher slot carries the true current output), the target
-its last.  At deployment the teacher slot is replaced by y_{k-1}, so deployed
-predictions never read the current true output.
+A Dataset holds a chronological input series u and outputs y, y[k + 1] the
+output after u[k].  Only `Dataset.regressor` turns them into network inputs
+and targets: row k is [u_k, y_k, y_{k+1}] in training, [u_k, y_k, y_k] at
+deployment (which never reads the output it predicts), with target y_{k+1}.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .online import explicit_step_size, momentum_update
 __all__ = [
     "Dataset", "FitReport",
     "excitation_signal", "generate_dataset", "initialize_network",
-    "train_offline", "deploy_input", "evaluate_deploy", "fit_metrics",
+    "train_offline", "evaluate_deploy", "fit_metrics",
     "dataset_to_csv", "dataset_from_csv",
 ]
 
@@ -31,21 +31,34 @@ WIDTH_FLOOR = 1e-2
 # output-layer ridge scale, and the gradient stage's momentum and step cap
 DWELL, EXCITATION_RANGE, NOISE_STD, HOLDOUT_FRAC = 50, (-2.0, 2.0), 0.01, 0.2
 RIDGE, MOMENTUM, ETA_MAX = 1e-6, 0.2, 10.0
+HISTORY_LEN = 1   # the closed loop keeps this many inputs and one more output
+_CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
 
 
 @dataclass
 class Dataset:
-    samples: np.ndarray    # chronological rows [u_k, y_prev, y_teacher, target]
+    u: np.ndarray    # (n,) chronological inputs
+    y: np.ndarray    # (n + 1,) outputs; y[k + 1] is the output after u[k]
+
+    def regressor(self, deploy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Network inputs and targets: row k is [u_k, y_k, y_{k+1}], or
+        [u_k, y_k, y_k] deployed (y_{k+1} not yet measured); target y_{k+1}."""
+        y_k, y_k1 = self.y[:-1], self.y[1:]
+        return np.array([self.u, y_k, y_k if deploy else y_k1]).T, y_k1
+
+    @property
+    def samples(self) -> np.ndarray:   # rows [u_k, y_prev, y_teacher, target]
+        return np.column_stack(self.regressor())
 
     @property
     def split(self) -> int:   # the last HOLDOUT_FRAC of the rows are held out
-        return len(self.samples) - int(round(HOLDOUT_FRAC * len(self.samples)))
+        return len(self.u) - int(round(HOLDOUT_FRAC * len(self.u)))
 
-    def train(self) -> np.ndarray:
-        return self.samples[: self.split]
+    def train(self) -> Dataset:
+        return Dataset(self.u[:self.split], self.y[:self.split + 1])
 
-    def holdout(self) -> np.ndarray:
-        return self.samples[self.split:]
+    def holdout(self) -> Dataset:
+        return Dataset(self.u[self.split:], self.y[self.split:])
 
 
 @dataclass
@@ -56,17 +69,10 @@ class FitReport:
     r2: float
     loss_curve: list = field(default_factory=list)
     halted_epoch: int | None = None    # set if training stopped on a loss rise
-    # deploy-mode (teacher slot replaced by y_prev) holdout metrics; the
-    # headline numbers above use the same teacher-forcing convention the
-    # network was trained and tested under
+    # holdout metrics of the deployment rows; those above use the teacher-
+    # forcing rows the network was trained and tested on
     deploy_mse: float = math.nan
     deploy_r2: float = math.nan
-
-
-def deploy_input(u_k: float, y_prev: float) -> np.ndarray:
-    """Control-time input vector: the previous output substitutes for the
-    unavailable current one."""
-    return np.array([u_k, y_prev, y_prev], dtype=float)
 
 
 def excitation_signal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,7 +84,7 @@ def excitation_signal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def generate_dataset(n: int, seed: int) -> Dataset:
     """Simulate the nominal model under the excitation signal and record
-    teacher-forcing rows in chronological order."""
+    the input and output series."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -90,7 +96,7 @@ def generate_dataset(n: int, seed: int) -> Dataset:
         w = NOISE_STD * rng.standard_normal()
         state = pl.plant_step(state, float(u[k]), w, pl.NOMINAL_PLANT)
         y[k + 1] = pl.output(state, pl.NOMINAL_PLANT)
-    return Dataset(samples=np.column_stack([u, y[:-1], y[1:], y[1:]]))
+    return Dataset(u, y)
 
 
 def initialize_network(data: Dataset, m: int, p: int, seed: int) -> TgrbfNet:
@@ -99,7 +105,7 @@ def initialize_network(data: Dataset, m: int, p: int, seed: int) -> TgrbfNet:
     gate weights (constant initial gate); update-gate bias 0.9 so the hidden
     state locks onto the inputs within a few steps of a reset."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    X = data.train()[:, :-1]
+    X = data.train().regressor()[0]
     lo, hi = X.min(axis=0), X.max(axis=0)
     n_in = X.shape[1]
     centers = rng.uniform(lo, hi, size=(m, n_in))
@@ -190,13 +196,13 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
     loss than the previous one the epoch is reverted and training halts with
     a step-rejection diagnostic.
     """
-    train = data.train()
-    if len(train) == 0:
+    X, targets = data.train().regressor()
+    if len(X) == 0:
         raise ValueError("empty training set")
     net = net.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    chunks = [(train[i:i + chunk_len, :-1], train[i:i + chunk_len, -1])
-              for i in range(0, len(train), chunk_len)]
+    chunks = [(X[i:i + chunk_len], targets[i:i + chunk_len])
+              for i in range(0, len(X), chunk_len)]
 
     # the ridge solve sets only rbf_w, out_w and out_b, which the hidden
     # states do not depend on: one scan serves it and the epoch-0 loss
@@ -238,21 +244,17 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
 
 
 def evaluate_teacher(net: TgrbfNet,
-                     samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential one-step predictions over chronological dataset rows
-    under the training-time input convention (teacher slot carries the true
-    current output); hidden state reset at the start."""
-    X = samples[:, :-1]
-    return net.forward(X, h_prev=_hidden_states(net, X))[0], samples[:, -1]
+                     data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions from h_init over the teacher-forcing rows, and targets."""
+    X, targets = data.regressor()
+    return net.forward(X, h_prev=_hidden_states(net, X))[0], targets
 
 
 def evaluate_deploy(net: TgrbfNet,
-                    samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential deploy-mode one-step predictions over chronological
-    dataset rows (hidden state reset at the start): each input is
-    deploy_input(u_k, y_prev)."""
-    X = deploy_input(samples[:, 0], samples[:, 1]).T
-    return net.forward(X, h_prev=_hidden_states(net, X))[0], samples[:, -1]
+                    data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_teacher over the dataset's deployment rows."""
+    X, targets = data.regressor(deploy=True)
+    return net.forward(X, h_prev=_hidden_states(net, X))[0], targets
 
 
 def fit_metrics(pred, actual) -> FitReport:
@@ -279,7 +281,7 @@ def _write_csv(path, header: list, rows) -> None:
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
-    _write_csv(path, ["k", "u", "y_prev", "y_teacher", "target"],
+    _write_csv(path, _CSV_HEADER,
                ([k, *row] for k, row in enumerate(data.samples.tolist())))
 
 
@@ -287,7 +289,11 @@ def dataset_from_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
-        if header != ["k", "u", "y_prev", "y_teacher", "target"]:
+        if header != _CSV_HEADER:
             raise ValueError(f"unexpected dataset header: {header}")
         rows = [[float(v) for v in row[1:]] for row in rd]
-    return Dataset(np.array(rows).reshape(len(rows), 4))   # raises on a short row
+    rows = np.array(rows).reshape(len(rows), 4)   # raises on a short row
+    data = Dataset(rows[:, 0], np.append(rows[:, 1], rows[-1:, -1]))
+    if not np.array_equal(data.samples, rows):
+        raise ValueError("dataset rows are not one chronological series")
+    return data

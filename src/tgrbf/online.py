@@ -78,49 +78,44 @@ class ExperienceBuffer:
     ceil(N/4) is evicted (ties broken by age, i.e. pure FIFO under equal
     priorities).
 
-    The rows in use are a window [start, start + len) of stores twice the
-    capacity.  An eviction moves only the rows older than the evicted one,
-    one place newer, and advances the start; the window is copied down to
-    the front once every `capacity` evictions.
+    A sample is a row [x, h, target, priority] of one store twice the
+    capacity; X, H, targets and priority are column views of the rows in
+    use, a window [start, start + len).  An eviction moves only the rows
+    older than the evicted one, one place newer, and advances the start; the
+    window is copied down to the front once every `capacity` evictions.
     """
 
     def __init__(self, capacity: int, n_in: int, p: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._X = np.empty((2 * capacity, n_in))
-        self._H = np.empty((2 * capacity, p))
-        self._targets = np.empty(2 * capacity)
-        self._priority = np.empty(2 * capacity)
+        self._rows = np.empty((2 * capacity, n_in + p + 2))
+        self._n_in = n_in
         self._start = 0
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
-    X = property(lambda self: self._X[self._start:self._start + self._n])
-    H = property(lambda self: self._H[self._start:self._start + self._n])
-    targets = property(
-        lambda self: self._targets[self._start:self._start + self._n])
-    priority = property(
-        lambda self: self._priority[self._start:self._start + self._n])
+    X = property(lambda self: self._rows[self._start:][:self._n, :self._n_in])
+    H = property(lambda self: self._rows[self._start:][:self._n, self._n_in:-2])
+    targets = property(lambda self: self._rows[self._start:][:self._n, -2])
+    priority = property(lambda self: self._rows[self._start:][:self._n, -1])
 
     def push(self, x, h, target: float, priority: float) -> None:
-        s, n = self._start, self._n
+        rows, s, n = self._rows, self._start, self._n
         if n == self.capacity:
             # argmin returns the first minimum: the oldest row wins ties
-            evict = int(self._priority[s:s + math.ceil(n / 4)].argmin())
-            stores = (self._X, self._H, self._targets, self._priority)
-            for a in stores:
-                a[s + 1:s + evict + 1] = a[s:s + evict]
+            evict = int(rows[s:s + math.ceil(n / 4), -1].argmin())
+            rows[s + 1:s + evict + 1] = rows[s:s + evict]
             s, n = s + 1, n - 1
             if s + n == 2 * self.capacity:   # no room after the window
-                for a in stores:
-                    a[:n] = a[s:s + n]
+                rows[:n] = rows[s:s + n]
                 s = 0
             self._start = s
-        self._X[s + n], self._H[s + n] = x, h
-        self._targets[s + n], self._priority[s + n] = target, priority
+        row = rows[s + n]
+        row[:self._n_in], row[self._n_in:-2] = x, h
+        row[-2], row[-1] = target, priority
         self._n = n + 1
 
 

@@ -64,7 +64,7 @@ def identification():
 
 def test_criterion_01_gradient_audit():
     t0 = time.perf_counter()
-    err = gradient_audit(n_pairs=200, seed=0, m_range=(1, 8), p_range=(1, 8))
+    err = gradient_audit(n_pairs=200, seed=0)
     elapsed = time.perf_counter() - t0
     ok = err < 1e-5 and elapsed < 10.0
     _report(1, ok, f"max rel err {err:.3e} over 200 pairs in {elapsed:.2f}s")

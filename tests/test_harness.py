@@ -611,8 +611,29 @@ def test_cli_identify_fit_report_has_persistence_reference(tmp_path):
     rows = dict(line.split(",") for line in lines[1:])
     value = float(rows["persistence_mse"])
     # y_hat = y_prev against the target, on the holdout of the written data
-    hold = offline.dataset_from_csv(out / "dataset.csv").holdout()
+    hold = offline.dataset_from_csv(out / "dataset.csv").holdout().samples
     y_prev, target = hold[:, 1], hold[:, -1]
     assert value > 0.0
     assert value == pytest.approx(float(np.mean((target - y_prev) ** 2)),
                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("config", ["step.json", "sine.json"])
+@pytest.mark.parametrize("controller", ["nc_fixed", "pid"])
+def test_closed_loop_predictions_are_the_offline_deploy_evaluation(
+        config, controller):
+    """With no online update the closed loop runs the shipped network over
+    the deployment rows of its own series, from rest: the input before step
+    k is u_{k-1} (0 at step 0) and the output y_{k-1} (0 before the run).
+    evaluate_deploy on that series gives the logged outputs as its targets,
+    bit for bit, and the logged predictions to rounding."""
+    cfg = harness.load_config(ROOT / "configs" / config)
+    cfg.controller, cfg.checkpoint = controller, str(ROOT / cfg.checkpoint)
+    trace, _ = harness.run_scenario(cfg)
+    u, y, y_pred = trace.col("u"), trace.col("y"), trace.col("y_pred")
+    data = offline.Dataset(np.concatenate([[0.0], u[:-1]]),
+                           np.concatenate([[0.0], y]))
+    net = TgrbfNet.load(cfg.checkpoint)
+    pred, targets = offline.evaluate_deploy(net, data)
+    assert targets.tobytes() == y.tobytes()
+    assert np.max(np.abs(pred - y_pred)) <= 1e-12 * np.max(np.abs(y_pred))

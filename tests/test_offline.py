@@ -6,9 +6,24 @@ import pytest
 from tgrbf import offline
 
 
-def test_deploy_input_duplicates_previous_output():
-    x = offline.deploy_input(0.3, -1.2)
-    assert np.array_equal(x, np.array([0.3, -1.2, -1.2]))
+def test_regressor_builds_teacher_and_deploy_rows_of_a_hand_made_series():
+    """Row k is [u_k, y_k, y_{k+1}] under teacher forcing and [u_k, y_k,
+    y_k] deployed (the teacher slot holds the previous output); the targets
+    are y[1:] either way."""
+    data = offline.Dataset(np.array([0.3, -1.2, 2.0]),
+                           np.array([0.5, 0.25, -0.75, 1.5]))
+    X, targets = data.regressor()
+    assert np.array_equal(X, [[0.3, 0.5, 0.25], [-1.2, 0.25, -0.75],
+                              [2.0, -0.75, 1.5]])
+    assert np.array_equal(targets, [0.25, -0.75, 1.5])
+    X, targets = data.regressor(deploy=True)
+    assert np.array_equal(X, [[0.3, 0.5, 0.5], [-1.2, 0.25, 0.25],
+                              [2.0, -0.75, -0.75]])
+    assert np.array_equal(targets, [0.25, -0.75, 1.5])
+    # the dataset.csv columns after k: the teacher rows, then the target
+    assert np.array_equal(data.samples, [[0.3, 0.5, 0.25, 0.25],
+                                         [-1.2, 0.25, -0.75, -0.75],
+                                         [2.0, -0.75, 1.5, 1.5]])
 
 
 def test_excitation_pwc_holds_levels():
@@ -22,9 +37,16 @@ def test_excitation_pwc_holds_levels():
 
 def test_generate_dataset_shape_and_split():
     data = offline.generate_dataset(100, seed=0)
+    assert data.u.shape == (100,) and data.y.shape == (101,)
     assert data.samples.shape == (100, 4)
-    assert len(data.train()) == 80
-    assert len(data.holdout()) == 20
+    train, hold = data.train(), data.holdout()
+    assert (train.u.shape, train.y.shape) == ((80,), (81,))
+    assert (hold.u.shape, hold.y.shape) == ((20,), (21,))
+    # chronological sub-series: the holdout starts at the last training output
+    assert np.array_equal(np.concatenate([train.u, hold.u]), data.u)
+    assert np.array_equal(np.concatenate([train.y, hold.y[1:]]), data.y)
+    assert np.array_equal(np.vstack([train.samples, hold.samples]),
+                          data.samples)
     # teacher slot carries the current true output, which is the next
     # row's previous output
     assert np.array_equal(data.samples[:, 2], data.samples[:, 3])
@@ -78,15 +100,38 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.split == data.split
     # %.17g round-trips every float: equal arrays, bit for bit
     assert back.samples.tobytes() == data.samples.tobytes()
+    assert back.u.tobytes() == data.u.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
+
+
+def _write_rows(path, rows):
+    lines = [",".join([str(k)] + [f"{v:.17g}" for v in row])
+             for k, row in enumerate(rows)]
+    path.write_text("\n".join(["k,u,y_prev,y_teacher,target", *lines]) + "\n")
+
+
+@pytest.mark.parametrize("row, col", [(4, 2), (5, 1)],
+                         ids=["y_teacher-differs-from-its-target",
+                              "y_prev-differs-from-the-last-target"])
+def test_dataset_csv_rejects_rows_that_are_not_one_series(tmp_path, row, col):
+    rows = offline.generate_dataset(10, seed=0).samples
+    path = tmp_path / "dataset.csv"
+    _write_rows(path, rows)
+    offline.dataset_from_csv(path)   # the rows as written load
+    rows[row, col] += 0.5
+    _write_rows(path, rows)
+    with pytest.raises(ValueError):
+        offline.dataset_from_csv(path)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 1000])
 def test_dataset_split_is_derived_from_the_row_count(tmp_path, n):
     """The split holds out the last round(0.2 n) rows, and a CSV round
     trip keeps it."""
-    data = offline.Dataset(samples=np.arange(4.0 * n).reshape(n, 4))
+    data = offline.Dataset(np.arange(float(n)), 0.5 * np.arange(n + 1.0))
     assert data.split == n - int(round(0.2 * n))
-    assert len(data.train()) + len(data.holdout()) == n
+    assert len(data.train().u) == len(data.train().samples) == data.split
+    assert len(data.train().u) + len(data.holdout().u) == n
     path = tmp_path / "dataset.csv"
     offline.dataset_to_csv(data, path)
     assert offline.dataset_from_csv(path).split == data.split
@@ -138,7 +183,7 @@ def test_initialize_network_dimensions_and_widths():
     assert (net.m, net.p, net.n_in) == (5, 4, 3)
     assert np.all(net.widths >= offline.WIDTH_FLOOR)
     # centers live inside the observed input hypercube
-    X = data.train()[:, :-1]
+    X = data.train().samples[:, :-1]
     assert np.all(net.centers >= X.min(axis=0) - 1e-12)
     assert np.all(net.centers <= X.max(axis=0) + 1e-12)
 
@@ -158,7 +203,7 @@ def test_train_offline_short_run_quality():
 
 
 def test_train_offline_empty_training_set():
-    data = offline.Dataset(samples=np.empty((0, 4)))
+    data = offline.Dataset(np.empty(0), np.zeros(1))
     net0 = offline.initialize_network(offline.generate_dataset(50, seed=0),
                                       m=3, p=2, seed=0)
     with pytest.raises(ValueError):
@@ -170,5 +215,5 @@ def test_evaluate_teacher_and_deploy_shapes():
     net = offline.initialize_network(data, m=3, p=3, seed=1)
     for fn in (offline.evaluate_teacher, offline.evaluate_deploy):
         pred, actual = fn(net, data.holdout())
-        assert pred.shape == actual.shape == (len(data.holdout()),)
+        assert pred.shape == actual.shape == (len(data.holdout().u),)
         assert np.all(np.isfinite(pred))

@@ -6,6 +6,9 @@ used before its passes were batched: one single-sample `forward` (and
 `h_next` to the next.  The batched passes must agree with them to 1e-12
 relative (the convention of tests/test_batched.py), and the hidden states
 they feed to the batched forward must equal that h_next chain bit for bit.
+The references write the input rows out from a dataset's series themselves,
+as [u_k, y_prev, y_teacher] and [u_k, y_prev, y_prev], so that they check
+`Dataset.regressor` rather than call it.
 """
 
 import math
@@ -70,29 +73,30 @@ def _ref_epoch_loss(net, chunks):
     return total / (2.0 * count)
 
 
-def _ref_evaluate_teacher(net, samples):
+def _ref_evaluate_teacher(net, data):
     h = net.h_init.copy()
-    pred = np.empty(len(samples))
-    actual = np.empty(len(samples))
-    for i, row in enumerate(samples):
-        y_hat, trace = net.forward(row[:-1], h_prev=h)
+    pred = np.empty(len(data.u))
+    actual = np.empty(len(data.u))
+    for i in range(len(data.u)):
+        u, y_prev, y_teacher = data.u[i], data.y[i], data.y[i + 1]
+        y_hat, trace = net.forward(np.array([u, y_prev, y_teacher]), h_prev=h)
         h = trace.h_next
         pred[i] = y_hat
-        actual[i] = row[-1]
+        actual[i] = data.y[i + 1]
     return pred, actual
 
 
-def _ref_evaluate_deploy(net, samples):
+def _ref_evaluate_deploy(net, data):
     net = net.copy()
     net.reset()
-    pred = np.empty(len(samples))
-    actual = np.empty(len(samples))
-    for i, row in enumerate(samples):
-        x = offline.deploy_input(float(row[0]), float(row[1]))
-        y_hat, trace = net.forward(x)
+    pred = np.empty(len(data.u))
+    actual = np.empty(len(data.u))
+    for i in range(len(data.u)):
+        u, y_prev = data.u[i], data.y[i]
+        y_hat, trace = net.forward(np.array([u, y_prev, y_prev]))
         net.h = trace.h_next
         pred[i] = y_hat
-        actual[i] = row[-1]
+        actual[i] = data.y[i + 1]
     return pred, actual
 
 
@@ -102,7 +106,9 @@ def _ref_train(net, data, epochs, chunk_len=32, momentum=0.2, seed=0,
     the trained network, the loss curve and the halt epoch."""
     net = net.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    train = data.train()
+    t = data.train()
+    # rows [u_k, y_prev, y_teacher, target] of the training series
+    train = np.column_stack([t.u, t.y[:-1], t.y[1:], t.y[1:]])
     chunks = [train[i:i + chunk_len] for i in range(0, len(train), chunk_len)]
     w_off, w_size = {n: (o, s) for n, o, s in net.layout()}["widths"]
     _ref_solve_output_layers(net, chunks)
@@ -151,6 +157,12 @@ def _samples(rng, n):
     for i in range(n):
         rows[i, :3], rows[i, 3] = rng.uniform(-1.5, 1.5, size=3), rng.normal()
     return rows
+
+
+def _series(rng, n):
+    """A random dataset of n samples: inputs u (n,) and outputs y (n + 1,)."""
+    return Dataset(rng.uniform(-1.5, 1.5, size=n),
+                   rng.uniform(-1.5, 1.5, size=n + 1))
 
 
 def _nets(seed, n_cases):
@@ -223,11 +235,11 @@ def test_ridge_rows_and_epoch_loss_match_the_loop(n):
 @pytest.mark.parametrize("n", LENGTHS)
 def test_teacher_and_deploy_predictions_match_the_loop(n):
     for net, rng in _nets(200 + n, 12):
-        samples = _samples(rng, n)
+        data = _series(rng, n)
         for fn, ref in ((offline.evaluate_teacher, _ref_evaluate_teacher),
                         (offline.evaluate_deploy, _ref_evaluate_deploy)):
-            pred, actual = fn(net, samples)
-            pred_ref, actual_ref = ref(net, samples)
+            pred, actual = fn(net, data)
+            pred_ref, actual_ref = ref(net, data)
             assert _rel(pred, pred_ref) <= TOL
             assert np.array_equal(actual, actual_ref)
 
@@ -235,14 +247,14 @@ def test_teacher_and_deploy_predictions_match_the_loop(n):
 def test_deploy_evaluation_leaves_the_network_state_alone():
     net, rng = next(_nets(300, 1))
     net.h = np.full(net.p, 0.25)
-    offline.evaluate_deploy(net, _samples(rng, 10))
+    offline.evaluate_deploy(net, _series(rng, 10))
     assert np.array_equal(net.h, np.full(net.p, 0.25))
 
 
 def test_empty_holdout_gives_two_empty_arrays():
     for net, _ in _nets(400, 4):
         for fn in (offline.evaluate_teacher, offline.evaluate_deploy):
-            pred, actual = fn(net, np.empty((0, 4)))
+            pred, actual = fn(net, Dataset(np.empty(0), np.zeros(1)))
             assert pred.shape == actual.shape == (0,)
             assert pred.dtype == actual.dtype == np.float64
 
@@ -289,7 +301,7 @@ def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
         net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
         net, report = offline.train_offline(net0, data, epochs=0,
                                             chunk_len=32, seed=seed)
-        split = _split(_chunks(data.train(), 32))
+        split = _split(_chunks(data.train().samples, 32))
         H = [offline._hidden_states(net, X) for X, _ in split]
         assert report.loss_curve == [offline._epoch_loss(net, split, H)]
         H0 = [offline._hidden_states(net0, X) for X, _ in split]
@@ -299,5 +311,5 @@ def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
 def test_empty_training_set_still_raises():
     net, _ = next(_nets(500, 1))
     with pytest.raises(ValueError):
-        offline.train_offline(net, Dataset(samples=np.empty((0, 4))),
+        offline.train_offline(net, Dataset(np.empty(0), np.zeros(1)),
                               epochs=200, seed=0)
