@@ -10,7 +10,7 @@ tracking error through the identified model's input sensitivity dym_du.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = [
     "GainState", "PidState", "sig_alpha", "control_law", "adapt_gains",
@@ -76,9 +76,6 @@ class PidState:
     kp: float = 1.0
     ki: float = 0.0
     kd: float = 0.0
-    # run state, carried between pid_step calls; not a config key
-    integral: float = field(default=0.0, metadata={"run_state": True})
-    e_prev: float = field(default=0.0, metadata={"run_state": True})
     integral_limit: float = 100.0   # anti-windup clamp on the raw integral
 
     def __post_init__(self):
@@ -87,14 +84,14 @@ class PidState:
                 f"integral_limit must be >= 0, got {self.integral_limit}")
 
 
-def pid_step(p: PidState, e: float, Ts: float,
-             u_limit: float) -> tuple[float, PidState]:
+def pid_step(p: PidState, e: float, e_prev: float, integral: float,
+             Ts: float, u_limit: float) -> tuple[float, float]:
     """Textbook discrete PID with clamped integral and backward-difference
-    derivative."""
+    derivative, from the caller's run state; returns (u, the new integral)."""
     if Ts <= 0.0:
         raise ValueError("Ts must be positive")
-    integral = p.integral + e * Ts
+    integral = integral + e * Ts
     integral = min(max(integral, -p.integral_limit), p.integral_limit)
-    u = p.kp * e + p.ki * integral + p.kd * (e - p.e_prev) / Ts
+    u = p.kp * e + p.ki * integral + p.kd * (e - e_prev) / Ts
     u = min(max(u, -u_limit), u_limit)
-    return u, replace(p, integral=integral, e_prev=e)
+    return u, integral

@@ -117,11 +117,6 @@ def _check_keys(section: str, d, accepted: dict) -> dict:
     return d
 
 
-def _config_keys(cls) -> dict[str, str]:
-    """A dataclass's fields, less those marked as run state, with their types."""
-    return {f.name: f.type for f in fields(cls) if not f.metadata.get("run_state")}
-
-
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, rejecting
     unknown keys and values of the wrong type."""
@@ -136,7 +131,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         "trigger": "object"})
     found = {**doc, **n}   # every section, "trigger" included
     kw = {name: cls(**_check_keys(f"network.{name}" if name in n else name,
-                                  found[name], _config_keys(cls)))
+                                  found[name], {f.name: f.type for f in fields(cls)}))
           for name, cls in _SECTIONS.items() if name in found}
     if "type" in c:
         kw["controller"] = c["type"]
@@ -206,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig,
     gains = cfg.gains
     if cfg.controller == "nc_fixed" and cfg.nc_gains is not None:
         gains = cfg.nc_gains
-    pid = cfg.pid
+    e_prev, integral = 0.0, 0.0   # the PID's run state
     history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
     data = np.zeros((n, len(TRACE_COLUMNS)))
@@ -219,7 +214,7 @@ def run_scenario(cfg: ScenarioConfig,
             raise RunAborted(f"output diverged at step {k}: y = {y}")
         if opt is not None:
             # last step's update finishes before the network predicts again
-            _settle(opt, data)
+            opt.settle()
         e = r - y
         history.y[:-1], history.y[-1] = history.y[1:], y
 
@@ -232,26 +227,28 @@ def run_scenario(cfg: ScenarioConfig,
             e_pred = y - y_pred
 
         if cfg.controller == "pid":
-            u, pid = ctl.pid_step(pid, e, cfg.plant.Ts, cfg.u_limit)
+            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral,
+                                       cfg.plant.Ts, cfg.u_limit)
+            e_prev = e
         else:
             u = ctl.control_law(e, gains, cfg.u_limit)
 
-        triggered, eta = 0.0, 0.0
         if opt is not None:
             opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(e_pred))
-            event = opt.maybe_update(k, e_pred)
-            if event is not None:   # eta is nan until the update settles
-                triggered, eta = 1.0, event.eta
+            opt.maybe_update(k, e_pred)
             gains = ctl.adapt_gains(gains, e, dym_du)
 
         d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, gains.k1, gains.k2, dym_du,
-                   g_val, triggered, eta)
+                   g_val, 0.0, 0.0)
         history.u[:-1], history.u[-1] = history.u[1:], u
 
     if opt is not None:
-        _settle(opt, data)
+        opt.settle()
+        for ev in opt.events:   # the update log fills the update columns
+            data[ev.k, TRACE_COLUMNS.index("triggered")] = 1.0
+            data[ev.k, TRACE_COLUMNS.index("eta")] = ev.eta
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,
@@ -263,14 +260,6 @@ def run_scenario(cfg: ScenarioConfig,
     if net is None:
         metrics.fit_mse_online = math.nan   # no model predicted y
     return trace, metrics
-
-
-def _settle(opt: OnlineOptimizer, data: np.ndarray) -> None:
-    """Finish the optimizer's waiting update, if any, and log its step size
-    in the row of the step that triggered it."""
-    event = opt.settle()
-    if event is not None:
-        data[event.k, TRACE_COLUMNS.index("eta")] = event.eta
 
 
 def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,

@@ -178,8 +178,8 @@ class TgrbfNet:
                              b_zr=theta[off["b_z"]:off["b_h"]])
         # the segment shapes are fixed: assignment keeps them
         self.n_in, self.m, self.p = n_in, m, p
-        self.n_online = sum(size for (_, online), size in zip(_SEGMENTS, sizes)
-                            if online)
+        self._layout = list(zip(shapes, bounds, sizes))
+        self.n_online = off[_OFFLINE[0]]   # the online segments lead
         self.h_init = h_init
         self.h = h_init.copy() if h is None else h
         self.gate_frozen = gate_frozen
@@ -298,12 +298,7 @@ class TgrbfNet:
 
     def layout(self) -> list[tuple[str, int, int]]:
         """Ordered (name, offset, length) for every parameter segment."""
-        out, off = [], 0
-        for name, _ in _SEGMENTS:
-            size = getattr(self, name).size
-            out.append((name, off, size))
-            off += size
-        return out
+        return list(self._layout)
 
     def to_vector(self) -> np.ndarray:
         return self.theta.copy()

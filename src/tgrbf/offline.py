@@ -40,6 +40,10 @@ class Dataset:
     u: np.ndarray    # (n,) chronological inputs
     y: np.ndarray    # (n + 1,) outputs; y[k + 1] is the output after u[k]
 
+    def __post_init__(self):
+        if len(self.y) != len(self.u) + 1:
+            raise ValueError(f"len(y) {len(self.y)} != len(u) {len(self.u)} + 1")
+
     def regressor(self, deploy: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Network inputs and targets: row k is [u_k, y_k, y_{k+1}], or
         [u_k, y_k, y_k] deployed (y_{k+1} not yet measured); target y_{k+1}."""
@@ -288,12 +292,16 @@ def dataset_to_csv(data: Dataset, path) -> None:
 def dataset_from_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])   # an empty file has no header either
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected dataset header: {header}")
-        rows = [[float(v) for v in row[1:]] for row in rd]
-    rows = np.array(rows).reshape(len(rows), 4)   # raises on a short row
-    data = Dataset(rows[:, 0], np.append(rows[:, 1], rows[-1:, -1]))
-    if not np.array_equal(data.samples, rows):
+        rows = [[float(v) for v in row] for row in rd]
+    if not rows:
+        raise ValueError(f"{path}: no dataset rows, so no y_0")
+    rows = np.array(rows).reshape(len(rows), 5)   # raises on a short row
+    if not np.array_equal(rows[:, 0], np.arange(len(rows))):
+        raise ValueError(f"{path}: column k must read 0..{len(rows) - 1}")
+    data = Dataset(rows[:, 1], np.append(rows[:, 2], rows[-1:, -1]))
+    if not np.array_equal(data.samples, rows[:, 1:]):
         raise ValueError("dataset rows are not one chronological series")
     return data

@@ -126,20 +126,13 @@ def sample_batch(buf: ExperienceBuffer, s: int,
     return rng.choice(len(buf), size=min(s, len(buf)), replace=False)
 
 
-def _replay(net, X: np.ndarray, H: np.ndarray, targets: np.ndarray):
-    """Residuals F_k = y_k - yhat_k of a batch of inputs X (s, n_in), each
-    replayed from its stored hidden state H (s, p) in one batched forward,
-    and that forward's trace."""
-    y_hat, trace = net.forward(X, h_prev=H)
-    return targets - y_hat, trace
-
-
 def residuals_and_jacobian(net, X: np.ndarray, H: np.ndarray,
                            targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals F_k = y_k - yhat_k and Jacobian rows -d yhat_k / dW
+    """Residuals F_k = y_k - yhat_k of a batch X (s, n_in), each row replayed
+    from its stored hidden state H (s, p), and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
-    F, trace = _replay(net, X, H, targets)
-    return F, -net.jacobian_params(trace, online_only=True)
+    y_hat, trace = net.forward(X, h_prev=H)
+    return targets - y_hat, -net.jacobian_params(trace, online_only=True)
 
 
 def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
@@ -186,7 +179,8 @@ def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
 
 
 def batch_loss(net, X: np.ndarray, H: np.ndarray, targets: np.ndarray) -> float:
-    F, _ = _replay(net, X, H, targets)
+    y_hat, _ = net.forward(X, h_prev=H)
+    F = targets - y_hat
     return float(F @ F) / (2.0 * len(F))
 
 

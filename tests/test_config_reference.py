@@ -10,6 +10,7 @@ keep the earlier code and require the same accepted keys (less
 parsed configs and the same bytes.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -179,9 +180,12 @@ def test_every_section_accepts_the_same_keys(section):
 
 
 def test_run_state_is_not_a_config_key():
-    assert set(harness._config_keys(ctl.PidState)) == _REF_SCHEMA["pid"]
-    with pytest.raises(ValueError, match="unknown keys"):
-        harness.config_from_dict({"pid": {"integral": 1.0}})
+    """The PID's run state lives in the run loop: PidState's fields are the
+    pid schema, and the run state's names are unknown keys."""
+    assert {f.name for f in dataclasses.fields(ctl.PidState)} == _REF_SCHEMA["pid"]
+    for key in ("integral", "e_prev"):
+        with pytest.raises(ValueError, match="unknown keys"):
+            harness.config_from_dict({"pid": {key: 1.0}})
 
 
 @pytest.mark.parametrize("doc", [

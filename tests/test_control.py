@@ -97,35 +97,43 @@ def test_adapt_gains_skips_nonfinite_sensitivity():
 
 def test_pid_pure_proportional():
     p = ctl.PidState(kp=2.0)
-    u, p2 = ctl.pid_step(p, 1.5, 0.001, 10.0)
+    u, integral = ctl.pid_step(p, 1.5, 0.0, 0.0, 0.001, 10.0)
     assert u == pytest.approx(3.0)
-    assert p2.e_prev == 1.5
+    assert integral == pytest.approx(1.5 * 0.001)
+    # the derivative term reads the caller's e_prev
+    p = ctl.PidState(kp=0.0, kd=0.5)
+    u, _ = ctl.pid_step(p, 1.5, 1.0, 0.0, 0.001, 1000.0)
+    assert u == pytest.approx(0.5 * (1.5 - 1.0) / 0.001)
 
 
 def test_pid_integral_accumulation():
     p = ctl.PidState(kp=0.0, ki=1.0, kd=0.0)
     Ts, N = 0.01, 50
+    integral = 0.0
     for _ in range(N):
-        u, p = ctl.pid_step(p, 1.0, Ts, u_limit=100.0)
+        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, Ts, u_limit=100.0)
     assert u == pytest.approx(N * Ts)
+    assert integral == pytest.approx(N * Ts)
 
 
 def test_pid_zero_error_zero_output():
-    u, _ = ctl.pid_step(ctl.PidState(kp=3.0, ki=2.0, kd=1.0), 0.0, 0.001, 10.0)
-    assert u == 0.0
+    u, integral = ctl.pid_step(ctl.PidState(kp=3.0, ki=2.0, kd=1.0), 0.0, 0.0,
+                               0.0, 0.001, 10.0)
+    assert u == 0.0 and integral == 0.0
 
 
 def test_pid_anti_windup_clamp():
     p = ctl.PidState(kp=0.0, ki=1.0, integral_limit=0.05)
+    integral = 0.0
     for _ in range(200):
-        u, p = ctl.pid_step(p, 1.0, 0.01, u_limit=100.0)
-    assert p.integral == 0.05
+        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, 0.01, u_limit=100.0)
+    assert integral == 0.05
     assert u == pytest.approx(0.05)
 
 
 def test_pid_validation():
     with pytest.raises(ValueError):
-        ctl.pid_step(ctl.PidState(), 1.0, 0.0, 10.0)
+        ctl.pid_step(ctl.PidState(), 1.0, 0.0, 0.0, 0.0, 10.0)
 
 
 def tune_pid_relay_zn(params: pl.PlantParams, Ts: float,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,14 +128,40 @@ def test_dataset_csv_rejects_rows_that_are_not_one_series(tmp_path, row, col):
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 1000])
 def test_dataset_split_is_derived_from_the_row_count(tmp_path, n):
     """The split holds out the last round(0.2 n) rows, and a CSV round
-    trip keeps it."""
+    trip keeps it.  A file of no rows has no y_0 and does not load."""
     data = offline.Dataset(np.arange(float(n)), 0.5 * np.arange(n + 1.0))
     assert data.split == n - int(round(0.2 * n))
     assert len(data.train().u) == len(data.train().samples) == data.split
     assert len(data.train().u) + len(data.holdout().u) == n
     path = tmp_path / "dataset.csv"
     offline.dataset_to_csv(data, path)
-    assert offline.dataset_from_csv(path).split == data.split
+    if n == 0:   # a header-only file; the message names it
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no dataset rows")):
+            offline.dataset_from_csv(path)
+    else:
+        assert offline.dataset_from_csv(path).split == data.split
+
+
+@pytest.mark.parametrize("n_u, n_y", [(5, 5), (5, 7), (0, 0)])
+def test_dataset_rejects_lengths_that_are_not_one_series(n_u, n_y):
+    """y holds one more output than u holds inputs; the message names both
+    lengths."""
+    with pytest.raises(ValueError, match=f"len\\(y\\) {n_y} != len\\(u\\) {n_u}"):
+        offline.Dataset(np.zeros(n_u), np.zeros(n_y))
+
+
+@pytest.mark.parametrize("k", ["7", "0", "x"], ids=["skips", "repeats", "not-a-number"])
+def test_dataset_csv_rejects_a_k_column_that_does_not_count_rows(tmp_path, k):
+    """Column k must read 0..n-1; the series columns alone would load."""
+    rows = offline.generate_dataset(10, seed=0).samples
+    path = tmp_path / "dataset.csv"
+    _write_rows(path, rows)
+    offline.dataset_from_csv(path)   # the rows as written load
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join([k] + lines[2].split(",")[1:])   # row 1's k
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="'x'" if k == "x" else "column k"):
+        offline.dataset_from_csv(path)
 
 
 def test_train_offline_rejected_step_keeps_theta_and_drops_momentum(
@@ -162,9 +189,10 @@ def test_train_offline_rejected_step_keeps_theta_and_drops_momentum(
 
 def test_dataset_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        offline.dataset_from_csv(path)
+    for text in ("a,b,c\n1,2,3\n", ""):   # an empty file has no header
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unexpected dataset header"):
+            offline.dataset_from_csv(path)
 
 
 @pytest.mark.parametrize("rows", ["0,1,2,3,4\n1,1,2,3\n",

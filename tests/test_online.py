@@ -589,7 +589,7 @@ def test_online_segments_are_a_prefix_of_the_layout():
             X[i], targets[i] = rng.uniform(-1.0, 1.0, size=3), rng.normal()
             H[i] = rng.uniform(-0.5, 0.5, size=p)
         _, J = online.residuals_and_jacobian(net, X, H, targets)
-        _, trace = online._replay(net, X, H, targets)
+        _, trace = net.forward(X, h_prev=H)
         J_ref = -np.compress(mask, net.jacobian_params(trace), axis=1)
         assert J.flags.c_contiguous and J.tobytes() == J_ref.tobytes()
 
@@ -678,11 +678,31 @@ def test_replay_gives_back_the_residuals_deployment_saw(monkeypatch, config):
     buf, n = opt.buf, len(opt.buf)
     assert rep.update_count == 0 and n == cfg.n_steps
     assert buf.targets[:n].tobytes() == trace.col("y").tobytes()
-    F, _ = online._replay(opt.net, buf.X[:n], buf.H[:n], buf.targets[:n])
+    F, _ = online.residuals_and_jacobian(opt.net, buf.X[:n], buf.H[:n],
+                                         buf.targets[:n])
     y_pred = trace.col("y_pred")
     want = trace.col("y") - y_pred
     assert np.all(np.abs(F - want)
                   <= 1e-12 * np.maximum(np.abs(want), np.abs(y_pred)))
+
+
+@pytest.mark.parametrize("config", ["step.json", "sine.json"])
+def test_trace_update_columns_are_the_update_log(config):
+    """The trace marks an update at exactly the rows of the logged events,
+    each with its event's step size bit for bit (0.0 for a rejected one),
+    and reads 0.0 in both columns everywhere else and for the controllers
+    that do not update."""
+    runs = harness.compare_controllers(_shipped(config))
+    for name, (trace, _) in runs.items():
+        triggered, eta = trace.col("triggered"), trace.col("eta")
+        ks = [ev.k for ev in trace.events]
+        assert (name == "tgrbf_nc") == (len(ks) > 0), name
+        assert np.flatnonzero(triggered != 0.0).tolist() == ks, name
+        assert np.all(triggered[ks] == 1.0)
+        got = np.array([ev.eta for ev in trace.events])
+        assert eta[ks].tobytes() == got.tobytes()
+        others = np.delete(np.arange(len(eta)), ks)
+        assert not np.any(eta[others]), name
 
 
 @pytest.mark.parametrize("config", ["step.json", "sine.json"])
