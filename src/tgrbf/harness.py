@@ -213,7 +213,8 @@ def run_scenario(cfg: ScenarioConfig,
         if abs(y) > 1e6:
             raise RunAborted(f"output diverged at step {k}: y = {y}")
         if opt is not None:
-            # last step's update finishes before the network predicts again
+            # an earlier update's waiting stage runs before the network
+            # predicts again: the last trigger's step, or the replay after it
             opt.settle()
         e = r - y
         history.y[:-1], history.y[-1] = history.y[1:], y
@@ -245,7 +246,8 @@ def run_scenario(cfg: ScenarioConfig,
         history.u[:-1], history.u[-1] = history.u[1:], u
 
     if opt is not None:
-        opt.settle()
+        opt.settle()   # the last update's step
+        opt.settle()   # and its loss_after replay
         for ev in opt.events:   # the update log fills the update columns
             data[ev.k, TRACE_COLUMNS.index("triggered")] = 1.0
             data[ev.k, TRACE_COLUMNS.index("eta")] = ev.eta

@@ -38,18 +38,9 @@ def _clamp_mask(pre: np.ndarray) -> np.ndarray:
     return (pre > 0.0) & (pre < 1.0)
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
-
-
 def _item(a):
     """A Python float for one sample, the array itself for a batch."""
     return float(a) if a.ndim == 0 else a
-
-
-def _col(v) -> np.ndarray:
-    """A per-sample scalar as a column: (1,) for a float, (s, 1) for (s,)."""
-    return np.asarray(v)[..., None]
 
 
 def sigmoid(a):
@@ -57,20 +48,25 @@ def sigmoid(a):
 
 
 def rbf_forward(x, centers, widths, weights):
-    """Evaluate the RBF branch.  Returns (y_rbf, phi).
+    """Evaluate the RBF branch.  Returns (y_rbf, phi, diff), diff = x - centers.
 
     x is one input (n_in,) or a batch (s, n_in); y_rbf is then a float or
-    an (s,) array and phi has shape (m,) or (s, m)."""
+    an (s,) array, phi has shape (m,) or (s, m) and diff (m, n_in) or
+    (s, m, n_in)."""
     x = np.asarray(x, dtype=float)
     centers = np.asarray(centers, dtype=float)
     widths = np.asarray(widths, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != x.shape[-1]:
         raise ValueError(f"centers shape {centers.shape} incompatible with input {x.shape}")
+    _check_widths(widths)
+    diff = x[..., None, :] - centers
+    phi = np.exp((diff ** 2).sum(axis=-1) / (-2.0 * widths ** 2))
+    return _item(phi @ weights), phi, diff
+
+
+def _check_widths(widths: np.ndarray) -> None:
     if (widths <= 0.0).any():
         raise ValueError("all kernel widths must be positive")
-    d2 = ((centers - x[..., None, :]) ** 2).sum(axis=-1)
-    phi = np.exp(d2 / (-2.0 * widths ** 2))
-    return _item(phi @ weights), phi
 
 
 def lgru_step(x, h_prev, W_zr, b_zr, W_h, b_h):
@@ -100,9 +96,10 @@ class ForwardTrace:
 
     For a batch every field carries the leading batch axis, and the scalar
     fields (y_rbf, y_gru, g) are (s,) arrays instead of floats.  pre_zr and
-    zr hold both gates, the update gate's p columns first."""
+    zr hold both gates, the update gate's p columns first.  The input x is
+    zeta[..., :n_in]; diff is x - centers, which both Jacobians read."""
 
-    x: np.ndarray
+    diff: np.ndarray
     h_prev: np.ndarray
     phi: np.ndarray
     y_rbf: float | np.ndarray
@@ -125,6 +122,17 @@ def _shapes(n_in: int, m: int, p: int) -> dict[str, tuple[int, ...]]:
             "W_r": (p, k), "W_h": (p, k), "gate_w": (k,), "gate_b": (),
             "out_w": (p,), "out_b": (),
             "widths": (m,), "b_z": (p,), "b_r": (p,), "b_h": (p,)}
+
+
+def _left_repeats(n_in: int, m: int, p: int) -> np.ndarray:
+    """How many columns of dy/dW, in flat-vector order, each left factor of
+    `TgrbfNet.jacobian_params` multiplies: g (rbf_w), each center's b (its
+    n_in coordinates), the 3p row terms (a row of W_z, W_r or W_h each),
+    dy/dgate_b (gate_w and gate_b) and 1 - g (out_w and out_b); then one
+    column each for the offline widths and b_z, b_r, b_h."""
+    k = n_in + p
+    return np.array([m] + [n_in] * m + [k] * (3 * p) + [k + 1, p + 1]
+                    + [1] * (m + 3 * p))
 
 
 _OFFLINE = ("widths", "b_z", "b_r", "b_h")
@@ -179,14 +187,14 @@ class TgrbfNet:
         # the segment shapes are fixed: assignment keeps them
         self.n_in, self.m, self.p = n_in, m, p
         self._layout = list(zip(shapes, bounds, sizes))
+        self._repeats = _left_repeats(n_in, m, p)
         self.n_online = off[_OFFLINE[0]]   # the online segments lead
         self.h_init = h_init
         self.h = h_init.copy() if h is None else h
         self.gate_frozen = gate_frozen
         if m < 1:
             raise ValueError("need at least one RBF node")
-        if (self.widths <= 0.0).any():
-            raise ValueError("all kernel widths must be positive")
+        _check_widths(self.widths)
         if not (np.isfinite(theta).all() and np.isfinite(h_init).all()):
             raise ValueError("network parameters must be finite")
 
@@ -213,7 +221,8 @@ class TgrbfNet:
 
         x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
         is (s, p), one state per row, y is an (s,) array and every trace
-        field carries the batch axis."""
+        field carries the batch axis.  For one input the readout, the gate
+        and y are Python floats, the gate through math.exp."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
             raise ValueError(f"input must have shape ({self.n_in},) or "
@@ -221,16 +230,19 @@ class TgrbfNet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        y_rbf, phi = rbf_forward(x, self.centers, self.widths, self.rbf_w)
+        y_rbf, phi, diff = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, zeta, pre_zr, zr, xi, n = lgru_step(
             x, h_prev, self.W_zr, self.b_zr, self.W_h, self.b_h)
-        y_gru = _item(h_next @ self.out_w + float(self.out_b))
-        if self.gate_frozen:
-            g = _item(np.ones(x.shape[:-1]))
+        if x.ndim == 1:   # the closed loop's call: floats, 1-D products
+            y_gru = float(h_next @ self.out_w) + float(self.out_b)
+            g = 1.0 if self.gate_frozen else 1.0 / (1.0 + math.exp(
+                -(float(zeta @ self.gate_w) + float(self.gate_b))))
         else:
-            g = _item(sigmoid(zeta @ self.gate_w + float(self.gate_b)))
+            y_gru = h_next @ self.out_w + float(self.out_b)
+            g = (np.ones(len(x)) if self.gate_frozen
+                 else sigmoid(zeta @ self.gate_w + float(self.gate_b)))
         y = g * y_rbf + (1.0 - g) * y_gru
-        trace = ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
+        trace = ForwardTrace(diff=diff, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                              pre_zr=pre_zr, zr=zr, n=n,
                              h_next=h_next, y_gru=y_gru, g=g,
                              zeta=zeta, xi=xi)
@@ -245,24 +257,24 @@ class TgrbfNet:
     # -- Jacobians ----------------------------------------------------------
 
     def _x_terms(self, trace: ForwardTrace):
-        """The factors of dy/dW that x also reaches: diff = x - centers, the
-        RBF factor a = g*rbf_w*phi and b = a/widths^2 (dy/dcenters is
-        b*diff), c_zr = dy/d(b_z, b_r), qz = dy/db_h and s_g = dy/dgate_b.
-        Both Jacobians are built from them."""
-        g = trace.g
-        q = _col(1.0 - g) * self.out_w                  # dy/dh_next
-        diff = trace.x[..., None, :] - self.centers     # (..., m, n_in)
-        a = _col(g) * self.rbf_w * trace.phi
-        qz = q * trace.zr[..., :self.p]
+        """The factors of dy/dW that x also reaches: g and 1 - g (columns for
+        a batch), b = g*rbf_w*phi/widths^2 (dy/dcenters is b*diff) and the
+        3p + 1 first-layer terms dy/d(b_z, b_r, b_h, gate_b) in one array.
+        Both Jacobians are built from them and the trace's intermediates."""
+        g, p, lead = trace.g, self.p, trace.zeta.shape[:-1]
+        gc = g[:, None] if lead else g
+        one_m_gc = 1.0 - gc
+        q = one_m_gc * self.out_w                       # dy/dh_next
+        terms = np.empty(lead + (3 * p + 1,))
+        qz = np.multiply(q, trace.zr[..., :p], out=terms[..., 2 * p:3 * p])
+        np.multiply(q, trace.n - trace.h_prev, out=terms[..., :p])
         # reset-gate path: n_j depends on r_l through W_h[j, n_in + l] h_prev_l
-        c_zr = np.concatenate([q * (trace.n - trace.h_prev),
-                               (qz @ self.W_h[:, self.n_in:]) * trace.h_prev],
-                              axis=-1) * _clamp_mask(trace.pre_zr)
-        if self.gate_frozen:
-            s_g = np.zeros(np.shape(g))
-        else:
-            s_g = g * (1.0 - g) * (trace.y_rbf - trace.y_gru)
-        return diff, a, a / self.widths ** 2, c_zr, qz, s_g
+        np.multiply(qz @ self.W_h[:, self.n_in:], trace.h_prev,
+                    out=terms[..., p:2 * p])
+        terms[..., :2 * p] *= _clamp_mask(trace.pre_zr)
+        terms[..., -1] = (0.0 if self.gate_frozen
+                          else g * (1.0 - g) * (trace.y_rbf - trace.y_gru))
+        return gc, one_m_gc, gc * self.rbf_w * trace.phi / self.widths ** 2, terms
 
     def jacobian_params(self, trace: ForwardTrace,
                         online_only: bool = False) -> np.ndarray:
@@ -270,19 +282,28 @@ class TgrbfNet:
 
         Shape (P,) for a single-sample trace, (s, P) for a batched one.
         online_only builds just the leading n_online columns, the online
-        update's set; offline training and the gradient audit take all P."""
-        diff, a, b, c_zr, qz, s_g = self._x_terms(trace)
-        gc, one_m_gc, s_gc = _col(trace.g), _col(1.0 - trace.g), _col(s_g)
-        zeta, lead = trace.zeta, np.shape(trace.g)
-        cols = [
-            gc * trace.phi, (b[..., None] * diff).reshape(lead + (-1,)),
-            _outer(c_zr, zeta).reshape(lead + (-1,)),
-            _outer(qz, trace.xi).reshape(lead + (-1,)), s_gc * zeta, s_gc,
-            one_m_gc * trace.h_next, one_m_gc]
-        if not online_only:
-            d_widths = a * (diff ** 2).sum(axis=-1) / self.widths ** 3
-            cols += [d_widths, c_zr, qz]
-        return np.concatenate(cols, axis=-1)
+        update's set; offline training and the gradient audit take all P.
+
+        Every column is one product left * right: the left factors (g, b,
+        the first-layer terms, 1 - g) repeated over their columns, times
+        the right factors (phi, diff, zeta or xi per first-layer row,
+        h_next, and 1 for a bias), in one array."""
+        gc, one_m_gc, b, terms = self._x_terms(trace)
+        lead, p = trace.zeta.shape[:-1], self.p
+        if not lead:   # one sample: the scalar factors need an axis
+            gc, one_m_gc = np.array([gc]), np.array([one_m_gc])
+        zeta, one = trace.zeta, np.ones(lead + (1,))
+        left = [gc, b, terms, one_m_gc]
+        right = [trace.phi, trace.diff.reshape(lead + (-1,)), *[zeta] * (2 * p),
+                 *[trace.xi] * p, zeta, one, trace.h_next, one]
+        if not online_only:   # widths, then b_z, b_r and b_h
+            left += [gc * self.rbf_w * trace.phi * (trace.diff ** 2).sum(axis=-1)
+                     / self.widths ** 3, terms[..., :3 * p]]
+            right.append(np.ones(lead + (self.m + 3 * p,)))
+        left = np.concatenate(left, axis=-1)
+        J = left.repeat(self._repeats[:left.shape[-1]], axis=-1)
+        J *= np.concatenate(right, axis=-1)
+        return J
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dx, shape (n_in,) for a single-sample trace, (s, n_in) for a
@@ -290,9 +311,10 @@ class TgrbfNet:
         first-layer affine maps of [x; h_prev], so dy/dx is one product of
         dy/d(b_z, b_r, b_h, gate_b) with those maps' x-columns W_x, less
         sum_i dy/dc_i."""
-        diff, _, b, c_zr, qz, s_g = self._x_terms(trace)
-        terms = np.concatenate([c_zr, qz, _col(s_g)], axis=-1)
-        return terms @ self.W_x - (b[..., None, :] @ diff)[..., 0, :]
+        b, terms = self._x_terms(trace)[2:]
+        if trace.zeta.ndim == 1:
+            return terms @ self.W_x - b @ trace.diff
+        return terms @ self.W_x - (b[:, None, :] @ trace.diff)[:, 0, :]
 
     # -- flat parameter vector ----------------------------------------------
 

@@ -221,8 +221,9 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
             X, targets = chunks[ci]
             y_hat, trace = net.forward(X, h_prev=_hidden_states(net, X))
             F, J = targets - y_hat, -net.jacobian_params(trace)   # J = dF/dW
-            grad = (J.T @ F) / len(F)
-            eta, degenerate = explicit_step_size(F, J)
+            JtF = J.T @ F
+            grad = JtF / len(F)
+            eta, degenerate = explicit_step_size(F, J, JtF)
             eta = min(ETA_MAX, 1.0) if degenerate else min(eta, ETA_MAX)
             W_next = momentum_update(net.theta, W_prev, grad, eta, MOMENTUM)
             W_prev[:] = net.theta   # if rejected, theta stays and momentum is 0

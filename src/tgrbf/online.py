@@ -52,9 +52,9 @@ class TriggerConfig:
 class UpdateEvent:
     k: int
     loss_before: float
-    grad_norm: float
-    eta_explicit: float
     # set by OnlineOptimizer.settle(), which finishes the update
+    grad_norm: float = math.nan
+    eta_explicit: float = math.nan
     eta: float = math.nan
     loss_after: float = math.nan
     safeguard_hit: bool = False
@@ -102,6 +102,12 @@ class ExperienceBuffer:
     targets = property(lambda self: self._rows[self._start:][:self._n, -2])
     priority = property(lambda self: self._rows[self._start:][:self._n, -1])
 
+    def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of X[idx], H[idx] and targets[idx], in one index of the
+        row store."""
+        rows = self._rows[self._start + idx]
+        return rows[:, :self._n_in], rows[:, self._n_in:-2], rows[:, -2]
+
     def push(self, x, h, target: float, priority: float) -> None:
         rows, s, n = self._rows, self._start, self._n
         if n == self.capacity:
@@ -132,13 +138,16 @@ def residuals_and_jacobian(net, X: np.ndarray, H: np.ndarray,
     from its stored hidden state H (s, p), and Jacobian rows -d yhat_k / dW
     restricted to the online-masked parameter columns."""
     y_hat, trace = net.forward(X, h_prev=H)
-    return targets - y_hat, -net.jacobian_params(trace, online_only=True)
+    J = net.jacobian_params(trace, online_only=True)
+    return targets - y_hat, np.negative(J, out=J)
 
 
-def explicit_step_size(F: np.ndarray, J: np.ndarray) -> tuple[float, bool]:
-    """Closed-form step size; returns (eta, degenerate).  Degenerate means
-    the denominator v'v is numerically zero and a fallback must be used."""
-    v = J @ (J.T @ F)
+def explicit_step_size(F: np.ndarray, J: np.ndarray,
+                       JtF: np.ndarray) -> tuple[float, bool]:
+    """Closed-form step size from F, J and the gradient's J'F; returns (eta,
+    degenerate).  Degenerate means the denominator v'v is numerically zero
+    and a fallback must be used."""
+    v = J @ JtF
     vv = float(v @ v)
     if vv < _DEGENERATE_TOL * (1.0 + float(F @ F)):
         return 0.0, True
@@ -196,22 +205,35 @@ class OnlineOptimizer:
         self.W_prev_masked = net.theta[:net.n_online].copy()
         self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
-        self._pending = None   # a triggered update awaiting settle()
+        self._pending = None   # a begun update, its step awaiting settle()
+        self._replay = None    # a written step, its loss_after awaiting settle()
 
     def settle(self) -> UpdateEvent | None:
-        """Finish the update the last triggering maybe_update call began: cap
-        its step with the safeguard, write theta[:n_online] and, for an
-        applied step, replay its batch under the new theta for loss_after.
-        Returns the event it finished, or None when nothing waits.
+        """Run the stages of an update that wait, one large kernel each:
+        first the loss_after replay of the step an earlier call wrote, under
+        the parameters that step wrote; then the step of the update the last
+        triggering maybe_update call began.  The step takes the gradient and
+        the explicit step size, caps eta with the safeguard and writes
+        theta[:n_online]; an applied step's replay then waits for the next
+        settle().  Returns the event whose step ran, or None when no step
+        waited.
 
-        Only this writes theta, the replays start from the stored states and
-        the batch rows are copies, so a caller that settles before anything
-        else reads theta gets the bits of an update run whole inside the
+        Only a step writes theta, every replay runs before the next write,
+        the replays start from the stored states and the batch rows are
+        copies, so every update gets the bits of one run whole inside the
         triggering call."""
+        if self._replay is not None:
+            event, X, H, targets = self._replay
+            self._replay = None
+            event.loss_after = batch_loss(self.net, X, H, targets)
         if self._pending is None:
             return None
-        event, X, H, targets, J, grad, degenerate = self._pending
+        event, X, H, targets, F, J = self._pending
         self._pending = None
+        JtF = J.T @ F
+        grad = JtF / len(F)
+        event.grad_norm = math.sqrt(float(grad @ grad))
+        event.eta_explicit, degenerate = explicit_step_size(F, J, JtF)
         alpha = self.cfg.momentum_alpha
         eta0 = self.cfg.eta_max if degenerate else event.eta_explicit
         eta, hit, event.sigma_min, event.sigma_max = step_size_safeguard(
@@ -229,17 +251,19 @@ class OnlineOptimizer:
         else:
             Wm[:] = Wm_next
             event.eta = eta
-            event.loss_after = batch_loss(self.net, X, H, targets)
+            self._replay = (event, X, H, targets)
         return event
 
     def maybe_update(self, k: int, e_pred: float) -> UpdateEvent | None:
         """Begin one triggered update if warranted; returns the event or None
-        (skipped).  Settles the previous update first.  This call replays
-        the batch, builds its Jacobian and explicit step size and refreshes
-        the batch's priorities; the step, its safeguard and loss_after wait
-        for settle(), and theta is unchanged until then.  A rejected step
-        leaves the network unchanged."""
-        self.settle()
+        (skipped).  A step still pending is settled first, after the replay
+        that waits before it.  This call replays the batch, builds its
+        Jacobian and loss_before and refreshes the batch's priorities; the
+        step (gradient, explicit step size, safeguard, write) and loss_after
+        wait for settle(), and theta is unchanged until then.  A rejected
+        step leaves the network unchanged."""
+        if self._pending is not None:
+            self.settle()
         if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
             return None
         idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
@@ -247,15 +271,10 @@ class OnlineOptimizer:
             return None
         self.last_update_k = k
 
-        X, H, targets = self.buf.X[idx], self.buf.H[idx], self.buf.targets[idx]
+        X, H, targets = self.buf.gather(idx)
         F, J = residuals_and_jacobian(self.net, X, H, targets)
-        s = len(idx)
-        grad = (J.T @ F) / s
-        eta_explicit, degenerate = explicit_step_size(F, J)
-        event = UpdateEvent(k=k, loss_before=float(F @ F) / (2.0 * s),
-                            grad_norm=math.sqrt(float(grad @ grad)),
-                            eta_explicit=eta_explicit)
-        self._pending = (event, X, H, targets, J, grad, degenerate)
+        event = UpdateEvent(k=k, loss_before=float(F @ F) / (2.0 * len(F)))
+        self._pending = (event, X, H, targets, F, J)
 
         # refresh replay priorities of the evaluated samples
         self.buf.priority[idx] = np.abs(F)

@@ -82,7 +82,7 @@ def test_criterion_02_scalar_newton_property():
         w = rng.normal()
         F = np.array([b - a * w])
         J = np.array([[-a]])
-        eta, degenerate = online.explicit_step_size(F, J)
+        eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
         assert not degenerate
         w_next = online.momentum_update(np.array([w]), np.array([w]),
                                         J.T @ F, eta, 0.0)

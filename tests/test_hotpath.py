@@ -22,6 +22,7 @@ byte.
 
 import csv
 import dataclasses
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -68,7 +69,8 @@ def _ref_forward(net, x, h_prev):
         g = _item(sigmoid(np.concatenate([x, h_prev], axis=-1) @ net.gate_w
                           + net.gate_b))
     y = g * y_rbf + (1.0 - g) * y_gru
-    return y, ForwardTrace(x=x, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
+    return y, ForwardTrace(diff=x[..., None, :] - net.centers, h_prev=h_prev,
+                           phi=phi, y_rbf=y_rbf,
                            pre_zr=np.concatenate([pre_z, pre_r], axis=-1),
                            zr=np.concatenate([z, r], axis=-1), n=n,
                            h_next=h_next, y_gru=y_gru, g=g,
@@ -76,7 +78,7 @@ def _ref_forward(net, x, h_prev):
 
 
 def _ref_jacobian_params(net, trace, online_only=False):
-    x, h_prev = trace.x, trace.h_prev
+    x, h_prev = trace.zeta[..., :net.n_in], trace.h_prev
     g = np.asarray(trace.g)
     one_m_g = 1.0 - g
     gc, one_m_gc = g[..., None], one_m_g[..., None]
@@ -108,7 +110,7 @@ def _ref_jacobian_params(net, trace, online_only=False):
 def _ref_jacobian_input(net, trace):
     n_in = net.n_in
     g = trace.g
-    diff = net.centers - trace.x
+    diff = net.centers - trace.zeta[:n_in]
     d_rbf = g * np.sum((net.rbf_w * trace.phi / net.widths ** 2)[:, None] * diff,
                        axis=0)
     q = (1.0 - g) * net.out_w
@@ -217,6 +219,33 @@ def test_kernel_matches_kept_reference(batch):
             assert _close(net.jacobian_params(tr), _ref_jacobian_params(net, tr_ref))
             if batch is None:
                 assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
+
+
+def test_the_single_sample_body_keeps_the_input_and_width_checks():
+    """One input runs its own body: it still rejects a non-finite input, a
+    wrong shape and a non-positive width, with the batched body's messages,
+    and advance() then leaves the hidden state as it was."""
+    net = random_net(3, 4, 5, np.random.default_rng(7))
+    net.h = np.random.default_rng(8).normal(size=net.p)
+    h = net.h.copy()
+    for x in ([0.1, np.nan, 0.2], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]):
+        with pytest.raises(ValueError, match="^non-finite network input$"):
+            net.advance(np.array(x))
+    shape = r"^input must have shape \(3,\) or \(s, 3\), got "
+    for x in (np.zeros(2), np.zeros(4), np.zeros((1, 1, 3)), np.float64(0.5)):
+        with pytest.raises(ValueError, match=shape + re.escape(str(x.shape)) + "$"):
+            net.advance(x)
+    for bad in (0.0, -0.5):
+        broken = net.copy()
+        broken.widths[1] = bad
+        for x in (np.zeros(3), np.zeros((2, 3))):
+            with pytest.raises(ValueError,
+                               match="^all kernel widths must be positive$"):
+                broken.forward(x, h_prev=None if x.ndim == 1 else np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
+            broken.advance(np.zeros(3))
+        assert broken.h.tobytes() == h.tobytes()
+    assert net.h.tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("batch", [None, 1, 7])

@@ -34,10 +34,11 @@ def test_rbf_kernel_rejects_bad_width_and_shape():
 
 def test_rbf_forward_weighted_sum():
     # d2 = 1 and 4 -> exp(-0.5) + 2 exp(-2)
-    y, phi = rbf_forward([1.0], [[0.0], [3.0]], [1.0, 1.0], [1.0, 2.0])
+    y, phi, diff = rbf_forward([1.0], [[0.0], [3.0]], [1.0, 1.0], [1.0, 2.0])
     assert y == pytest.approx(math.exp(-0.5) + 2.0 * math.exp(-2.0))
     assert y == pytest.approx(0.877201, abs=1e-6)
     assert phi.shape == (2,)
+    assert diff.tolist() == [[1.0], [-2.0]]   # x - centers
 
 
 def test_rbf_forward_validation():

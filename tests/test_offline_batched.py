@@ -120,8 +120,9 @@ def _ref_train(net, data, epochs, chunk_len=32, momentum=0.2, seed=0,
         W_epoch_start, W_prev_start = W.copy(), W_prev.copy()
         for ci in rng.permutation(len(chunks)):
             F, J = _ref_chunk_pass(net, chunks[ci], with_jacobian=True)
-            grad = (J.T @ F) / len(chunks[ci])
-            eta, degenerate = explicit_step_size(F, J)
+            JtF = J.T @ F
+            grad = JtF / len(chunks[ci])
+            eta, degenerate = explicit_step_size(F, J, JtF)
             if degenerate:
                 eta = min(eta_max, 1.0)
             eta = min(eta, eta_max)

@@ -186,18 +186,18 @@ def test_sample_batch_seeded_reproducible():
 # -- explicit step size ------------------------------------------------------
 
 def test_explicit_step_size_hand_values():
-    eta, degenerate = online.explicit_step_size(np.array([2.0]),
-                                                np.array([[1.0, 0.0]]))
+    F, J = np.array([2.0]), np.array([[1.0, 0.0]])
+    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
     assert (eta, degenerate) == (1.0, False)
-    eta, degenerate = online.explicit_step_size(np.array([1.0]),
-                                                np.array([[2.0, 0.0]]))
+    F, J = np.array([1.0]), np.array([[2.0, 0.0]])
+    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
     assert eta == pytest.approx(0.25)
     assert not degenerate
 
 
 def test_explicit_step_size_degenerate():
-    eta, degenerate = online.explicit_step_size(np.array([1.0]),
-                                                np.zeros((1, 2)))
+    F, J = np.array([1.0]), np.zeros((1, 2))
+    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
     assert degenerate
 
 
@@ -252,7 +252,7 @@ def test_scalar_newton_property_single_case():
     F = np.array([b - a * w])
     J = np.array([[-a]])
     grad = J.T @ F
-    eta, _ = online.explicit_step_size(F, J)
+    eta, _ = online.explicit_step_size(F, J, grad)
     w_next = online.momentum_update(np.array([w]), np.array([w]), grad, eta, 0.0)
     assert abs(b - a * w_next[0]) < 1e-10
 
@@ -266,8 +266,9 @@ def test_linear_residual_loss_never_increases():
         w = rng.normal(size=n)
         F = b - A @ w
         J = -A
-        grad = (J.T @ F) / s
-        eta, degenerate = online.explicit_step_size(F, J)
+        JtF = J.T @ F
+        grad = JtF / s
+        eta, degenerate = online.explicit_step_size(F, J, JtF)
         if degenerate:
             continue
         w2 = w - eta * grad
@@ -348,8 +349,9 @@ def test_update_respects_offline_mask():
 def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     """maybe_update replays exactly buf.X[idx] and buf.targets[idx] for the
     positions idx its rng draws, and refreshes only their priorities.  The
-    post-step replay (batch_loss) sees the same bytes in the next call, even
-    after pushes have shifted the buffer's rows."""
+    post-step replay (batch_loss) sees the same bytes in the settle() after
+    the one that writes the step, even after pushes have shifted the
+    buffer's rows in between."""
     net = _net()
     rng = np.random.Generator(np.random.PCG64(4))
     buf = online.ExperienceBuffer(50, net.n_in, net.p)
@@ -383,8 +385,13 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     for _ in range(20):   # fills the buffer and evicts, shifting its rows
         buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
                  rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
-    assert opt.maybe_update(1, 0.0) is None   # settles the update first
-    assert not event.rejected
+    assert opt.maybe_update(1, 0.0) is None   # settles the step first
+    assert not event.rejected and math.isnan(event.loss_after)
+    assert [name for name, *_ in seen] == ["residuals_and_jacobian"]
+    for _ in range(5):   # more evictions before the replay
+        buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
+                 rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
+    assert opt.settle() is None   # the waiting replay; no step waits
     assert [name for name, *_ in seen] == ["residuals_and_jacobian",
                                            "batch_loss"]
     for _, X_seen, H_seen, t_seen in seen:
@@ -394,18 +401,24 @@ def test_update_replays_the_rows_at_the_drawn_positions(monkeypatch):
     assert math.isfinite(event.loss_after)
 
 
-def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
-    """With cooldown 0 and triggers on consecutive steps, the next call
-    first finishes the pending update: it writes the step, then replays the
-    pending batch under the parameters the step wrote, and only then
-    replays its own batch.  A rejected step writes nothing and replays
-    nothing."""
-    net = _net(4, 3, 2)
-    rng = np.random.Generator(np.random.PCG64(5))
+def _rows_buffer(net, seed=5, n=20):
+    rng = np.random.Generator(np.random.PCG64(seed))
     buf = online.ExperienceBuffer(50, net.n_in, net.p)
-    for _ in range(20):
+    for _ in range(n):
         buf.push(rng.uniform(-1.0, 1.0, size=net.n_in),
                  rng.uniform(-0.5, 0.5, size=net.p), float(rng.normal()), 0.0)
+    return buf
+
+
+def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
+    """With cooldown 0 and triggers on consecutive steps, each call first
+    finishes the pending update.  The call after a trigger writes that
+    step and leaves its replay waiting; the call after that first replays
+    the waiting batch under the parameters the step wrote, then writes the
+    next step, and only then replays its own batch.  A rejected step
+    writes nothing and replays nothing."""
+    net = _net(4, 3, 2)
+    buf = _rows_buffer(net)
     calls, losses = [], []
     residuals, loss, step = (online.residuals_and_jacobian, online.batch_loss,
                              online.momentum_update)
@@ -437,34 +450,100 @@ def test_pending_loss_settles_before_the_next_step_writes_theta(monkeypatch):
     assert math.isnan(e0.eta) and math.isnan(e0.loss_after)
     assert net.theta.tobytes() == theta_start.tobytes()
     e1 = opt.maybe_update(1, 1.0)
-    assert not e0.rejected and e0.eta > 0.0 and math.isnan(e1.loss_after)
+    assert not e0.rejected and e0.eta > 0.0
+    assert math.isnan(e0.loss_after) and math.isnan(e1.loss_after)
     theta0 = net.theta.copy()
     assert not np.array_equal(theta0, theta_start)
-    assert [c[0] for c in calls] == ["residuals", "step", "loss", "residuals"]
-    (_, theta_r0, *batch0), (_, theta_l0, *batch_l0), (_, theta_r1, *_) = (
-        calls[0], calls[2], calls[3])
+    assert [c[0] for c in calls] == ["residuals", "step", "residuals"]
+    (_, theta_r0, *batch0), (_, theta_r1, *_) = calls[0], calls[2]
     assert theta_r0.tobytes() == theta_start.tobytes()
-    assert theta_l0.tobytes() == theta_r1.tobytes() == theta0.tobytes()
+    assert theta_r1.tobytes() == theta0.tobytes()
+
+    monkeypatch.setattr(online, "momentum_update", lambda *args: None)
+    e2 = opt.maybe_update(2, 1.0)   # replays e0, then settles e1: rejected
+    assert [c[0] for c in calls][3:] == ["loss", "residuals"]
+    _, theta_l0, *batch_l0 = calls[3]
+    assert theta_l0.tobytes() == theta0.tobytes()
     for a, b in zip(batch0, batch_l0):   # X, H, targets
         assert a.tobytes() == b.tobytes()
     ref = net.copy()
     ref.theta[:] = theta0
     assert e0.loss_after == loss(ref, *batch0) == losses[0]
-
-    monkeypatch.setattr(online, "momentum_update", lambda *args: None)
-    e2 = opt.maybe_update(2, 1.0)   # settles e1, whose step is rejected
     assert e1.rejected and e1.eta == 0.0 and e1.loss_after == e1.loss_before
     assert opt.settle() is e2 and e2.rejected and opt.settle() is None
     assert e2.loss_after == e2.loss_before
-    assert [c[0] for c in calls][4:] == ["residuals"] and len(losses) == 1
+    assert [c[0] for c in calls][5:] == [] and len(losses) == 1
     assert net.theta.tobytes() == theta0.tobytes()
+
+
+def test_the_loss_after_replay_waits_one_settle_after_its_step(monkeypatch):
+    """The settle() that writes theta makes no loss_after replay; the next
+    settle() makes it, under the parameters that step wrote, before it
+    writes the next step (cooldown 0, a trigger on every step).  A caller
+    that only calls maybe_update gets the same calls in the same order and
+    the same events, bit for bit."""
+    step, loss = online.momentum_update, online.batch_loss
+
+    def run(settle_each_step):
+        net = _net(4, 3, 2)
+        calls, written = [], []
+
+        def spy_step(*args):
+            W_next = step(*args)
+            calls.append("step")
+            written.append(W_next.copy())
+            return W_next
+
+        def spy_loss(net_, X, H, targets):
+            calls.append("loss")
+            # the parameters the replay runs under are the last ones written
+            assert net_.theta[:net_.n_online].tobytes() == written[-1].tobytes()
+            return loss(net_, X, H, targets)
+
+        monkeypatch.setattr(online, "momentum_update", spy_step)
+        monkeypatch.setattr(online, "batch_loss", spy_loss)
+        opt = online.OnlineOptimizer(net, _rows_buffer(net), online.TriggerConfig(
+            delta=0.01, batch_s=1, momentum_alpha=0.1, cooldown_steps=0),
+            np.random.Generator(np.random.PCG64(6)))
+        per_call = []
+        for k in range(4):
+            if settle_each_step:
+                done = len(calls)
+                settled = opt.settle()
+                per_call.append((settled, calls[done:]))
+            assert opt.maybe_update(k, 1.0) is not None
+        for _ in range(3):
+            done = len(calls)
+            per_call.append((opt.settle(), calls[done:]))
+        return opt, calls, per_call
+
+    opt, calls, per_call = run(settle_each_step=True)
+    e = opt.events
+    assert [c for _, c in per_call] == [
+        [], ["step"], ["loss", "step"], ["loss", "step"], ["loss", "step"],
+        ["loss"], []]
+    assert all(got is want for (got, _), want in
+               zip(per_call, [None, *e, None, None], strict=True))
+    assert not any(ev.rejected for ev in e)
+    assert all(math.isfinite(ev.loss_after) for ev in e)
+
+    only, only_calls, _ = run(settle_each_step=False)
+    assert only_calls == calls
+
+    def rows(o):
+        return np.array([dataclasses.astuple(ev) for ev in o.events], float)
+
+    assert rows(only).tobytes() == rows(opt).tobytes()
+    assert only.net.theta.tobytes() == opt.net.theta.tobytes()
 
 
 def test_the_triggering_call_leaves_the_safeguard_and_the_step_to_settle(
         monkeypatch):
     """maybe_update makes no step_size_safeguard or momentum_update call and
     leaves theta as it was; the settle() after it makes one call of each,
-    and the event's step fields read nan until then."""
+    and the event's step fields (the gradient's norm and the step sizes
+    among them) read nan until then.  loss_after reads nan until the
+    settle() after that, which replays the batch."""
     net = _net(4, 3, 2)
     rng = np.random.Generator(np.random.PCG64(5))
     buf = online.ExperienceBuffer(50, net.n_in, net.p)
@@ -488,25 +567,30 @@ def test_the_triggering_call_leaves_the_safeguard_and_the_step_to_settle(
     event = opt.maybe_update(0, 1.0)
     assert event is not None and calls == []
     assert net.theta.tobytes() == before.tobytes()
-    assert all(math.isnan(v) for v in (event.eta, event.sigma_min,
+    assert all(math.isnan(v) for v in (event.grad_norm, event.eta_explicit,
+                                       event.eta, event.sigma_min,
                                        event.sigma_max, event.loss_after))
+    assert math.isfinite(event.loss_before)
     assert opt.settle() is event
     assert calls == ["step_size_safeguard", "momentum_update"]
     assert not event.rejected and event.eta > 0.0
     assert not np.array_equal(net.theta, before)
-    assert all(math.isfinite(v) for v in (event.sigma_min, event.sigma_max,
-                                          event.loss_after))
+    assert all(math.isfinite(v) for v in (event.grad_norm, event.eta_explicit,
+                                          event.sigma_min, event.sigma_max))
+    assert math.isnan(event.loss_after)
     assert opt.settle() is None and len(calls) == 2
+    assert math.isfinite(event.loss_after)
 
 
 class _WholeUpdateInTheCall(online.OnlineOptimizer):
     """The reference: the safeguard, the step and the post-step replay run
     inside the call that triggers the update, as the update did before its
-    second half moved to settle()."""
+    stages moved to settle()."""
 
     def maybe_update(self, k, e_pred):
         event = super().maybe_update(k, e_pred)
-        self.settle()
+        self.settle()   # the step
+        self.settle()   # its loss_after replay
         return event
 
 
