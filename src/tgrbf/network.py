@@ -221,8 +221,7 @@ class TgrbfNet:
 
         x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
         is (s, p), one state per row, y is an (s,) array and every trace
-        field carries the batch axis.  For one input the readout, the gate
-        and y are Python floats, the gate through math.exp."""
+        field carries the batch axis."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
             raise ValueError(f"input must have shape ({self.n_in},) or "
@@ -233,14 +232,11 @@ class TgrbfNet:
         y_rbf, phi, diff = rbf_forward(x, self.centers, self.widths, self.rbf_w)
         h_next, zeta, pre_zr, zr, xi, n = lgru_step(
             x, h_prev, self.W_zr, self.b_zr, self.W_h, self.b_h)
-        if x.ndim == 1:   # the closed loop's call: floats, 1-D products
-            y_gru = float(h_next @ self.out_w) + float(self.out_b)
-            g = 1.0 if self.gate_frozen else 1.0 / (1.0 + math.exp(
-                -(float(zeta @ self.gate_w) + float(self.gate_b))))
+        y_gru = _item(h_next @ self.out_w + float(self.out_b))
+        if self.gate_frozen:
+            g = _item(np.ones(x.shape[:-1]))
         else:
-            y_gru = h_next @ self.out_w + float(self.out_b)
-            g = (np.ones(len(x)) if self.gate_frozen
-                 else sigmoid(zeta @ self.gate_w + float(self.gate_b)))
+            g = _item(sigmoid(zeta @ self.gate_w + float(self.gate_b)))
         y = g * y_rbf + (1.0 - g) * y_gru
         trace = ForwardTrace(diff=diff, h_prev=h_prev, phi=phi, y_rbf=y_rbf,
                              pre_zr=pre_zr, zr=zr, n=n,
@@ -312,9 +308,7 @@ class TgrbfNet:
         dy/d(b_z, b_r, b_h, gate_b) with those maps' x-columns W_x, less
         sum_i dy/dc_i."""
         b, terms = self._x_terms(trace)[2:]
-        if trace.zeta.ndim == 1:
-            return terms @ self.W_x - b @ trace.diff
-        return terms @ self.W_x - (b[:, None, :] @ trace.diff)[:, 0, :]
+        return terms @ self.W_x - (b[..., None, :] @ trace.diff)[..., 0, :]
 
     # -- flat parameter vector ----------------------------------------------
 

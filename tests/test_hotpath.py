@@ -221,10 +221,10 @@ def test_kernel_matches_kept_reference(batch):
                 assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
 
 
-def test_the_single_sample_body_keeps_the_input_and_width_checks():
-    """One input runs its own body: it still rejects a non-finite input, a
-    wrong shape and a non-positive width, with the batched body's messages,
-    and advance() then leaves the hidden state as it was."""
+def test_one_input_keeps_the_input_and_width_checks():
+    """One input, the closed loop's call, is rejected for a non-finite
+    input, a wrong shape and a non-positive width with the same messages as
+    a batch, and advance() then leaves the hidden state as it was."""
     net = random_net(3, 4, 5, np.random.default_rng(7))
     net.h = np.random.default_rng(8).normal(size=net.p)
     h = net.h.copy()
@@ -246,6 +246,22 @@ def test_the_single_sample_body_keeps_the_input_and_width_checks():
             broken.advance(np.zeros(3))
         assert broken.h.tobytes() == h.tobytes()
     assert net.h.tobytes() == h.tobytes()
+
+
+def test_a_gate_pre_activation_past_the_exp_range_closes_the_gate():
+    """A diverging loop can drive the gate's pre-activation below -709.8,
+    where exp(-a) overflows: one input then gives g == 0.0, as a batch
+    does, instead of raising, so the run reaches its own divergence stop."""
+    net = random_net(3, 4, 5, np.random.default_rng(9))
+    net.gate_w[:] = 1.0
+    x = np.full(3, -400.0)
+    h = np.zeros(net.p)
+    assert float(np.concatenate([x, h]) @ net.gate_w + net.gate_b) < -710.0
+    with np.errstate(over="ignore"):
+        y, tr = net.forward(x, h_prev=h)
+        ys, trs = net.forward(x[None], h_prev=h[None])
+    assert tr.g == 0.0 and trs.g.tolist() == [0.0]
+    assert y == tr.y_gru and ys[0] == y
 
 
 @pytest.mark.parametrize("batch", [None, 1, 7])
