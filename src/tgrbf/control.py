@@ -29,6 +29,7 @@ def sig_alpha(e: float, a: float) -> float:
 
 @dataclass
 class GainState:
+    """The adaptive law's configuration; k1, k2 are the starting gains k0."""
     k1: float = 2.0
     k2: float = 3.0
     alpha_pow: float = 0.7
@@ -46,29 +47,26 @@ class GainState:
             raise ValueError("gain bounds need k_min <= k_max")
 
 
-def control_law(e: float, g: GainState, u_limit: float) -> float:
+def control_law(e: float, k1: float, k2: float, alpha_pow: float,
+                u_limit: float) -> float:
     """u = k1*e + k2*sig_alpha(e), clamped to the actuator limit."""
-    u = g.k1 * e + g.k2 * sig_alpha(e, g.alpha_pow)
+    u = k1 * e + k2 * sig_alpha(e, alpha_pow)
     return min(max(u, -u_limit), u_limit)
 
 
-def adapt_gains(g: GainState, e: float, dym_du: float) -> GainState:
-    """Gradient-driven gain update projected onto the configured bounds.
+def adapt_gains(g: GainState, k1: float, k2: float, e: float,
+                dym_du: float) -> tuple[float, float]:
+    """(k1, k2) after one gradient-driven step, projected onto g's bounds.
 
     k1 moves by eta1*e^2*dym_du, k2 by eta2*e*sig_alpha(e)*dym_du; both
     share the sign of dym_du since e*sig_alpha(e) >= 0.  A non-finite
     model Jacobian skips the update.
     """
     if not math.isfinite(dym_du):
-        return g
-    k1 = g.k1 + g.eta1 * e * e * dym_du
-    k2 = g.k2 + g.eta2 * e * sig_alpha(e, g.alpha_pow) * dym_du
-    k1 = min(max(k1, g.k1_min), g.k1_max)
-    k2 = min(max(k2, g.k2_min), g.k2_max)
-    # a copy with the new gains; the other fields are g's, already checked
-    out = object.__new__(type(g))
-    out.__dict__.update(g.__dict__, k1=k1, k2=k2)
-    return out
+        return k1, k2
+    k1 = k1 + g.eta1 * e * e * dym_du
+    k2 = k2 + g.eta2 * e * sig_alpha(e, g.alpha_pow) * dym_du
+    return min(max(k1, g.k1_min), g.k1_max), min(max(k2, g.k2_min), g.k2_max)
 
 
 @dataclass

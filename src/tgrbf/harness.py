@@ -198,9 +198,9 @@ def run_scenario(cfg: ScenarioConfig,
         opt = OnlineOptimizer(net, buf, cfg.trigger, opt_rng)
 
     state = pl.make_state(cfg.plant)
-    gains = cfg.gains
-    if cfg.controller == "nc_fixed" and cfg.nc_gains is not None:
-        gains = cfg.nc_gains
+    gains = (cfg.nc_gains if cfg.controller == "nc_fixed"
+             and cfg.nc_gains is not None else cfg.gains)
+    k1, k2 = gains.k1, gains.k2   # the adaptive law's run state
     e_prev, integral = 0.0, 0.0   # the PID's run state
     history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
@@ -232,17 +232,16 @@ def run_scenario(cfg: ScenarioConfig,
                                        cfg.plant.Ts, cfg.u_limit)
             e_prev = e
         else:
-            u = ctl.control_law(e, gains, cfg.u_limit)
+            u = ctl.control_law(e, k1, k2, gains.alpha_pow, cfg.u_limit)
 
         if opt is not None:
             opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(e_pred))
             opt.maybe_update(k, e_pred)
-            gains = ctl.adapt_gains(gains, e, dym_du)
+            k1, k2 = ctl.adapt_gains(gains, k1, k2, e, dym_du)
 
         d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
         state = pl.plant_step(state, u, d, cfg.plant)
-        data[k] = (t, r, y, e, u, y_pred, gains.k1, gains.k2, dym_du,
-                   g_val, 0.0, 0.0)
+        data[k] = (t, r, y, e, u, y_pred, k1, k2, dym_du, g_val, 0.0, 0.0)
         history.u[:-1], history.u[-1] = history.u[1:], u
 
     if opt is not None:
@@ -267,7 +266,7 @@ def run_scenario(cfg: ScenarioConfig,
 def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
                     Ts: float) -> MetricsReport:
     """IAE/ISE/ITAE (sums times the sample time Ts) for every run; overshoot
-    and 2%-criterion settling time for step references only."""
+    and 2%-criterion settling time after the step, for step references only."""
     if trace.data.shape[0] == 0:
         return MetricsReport()
     t = trace.col("t")
@@ -288,12 +287,12 @@ def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
         if r_final == 0.0:
             return rep   # overshoot undefined, left as nan
         rep.overshoot_pct = max(0.0, 100.0 * float(np.max(y - r_final)) / abs(r_final))
-        band = 0.02 * abs(r_final)
-        outside = np.nonzero(np.abs(e) > band)[0]
+        outside = np.nonzero((t >= ref.step_time_s)
+                             & (np.abs(e) > 0.02 * abs(r_final)))[0]
         if outside.size == 0:
-            rep.settling_time_s, rep.settled = float(t[0]), True
+            rep.settling_time_s, rep.settled = 0.0, True
         elif outside[-1] + 1 < len(t):
-            rep.settling_time_s, rep.settled = float(t[outside[-1] + 1]), True
+            rep.settling_time_s, rep.settled = float(t[outside[-1] + 1]) - ref.step_time_s, True
         # else: never settles, flagged by settled=False / nan time
     return rep
 

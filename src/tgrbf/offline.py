@@ -22,15 +22,15 @@ from .online import explicit_step_size, momentum_update
 __all__ = [
     "Dataset", "FitReport",
     "excitation_signal", "generate_dataset", "initialize_network",
-    "train_offline", "evaluate_deploy", "fit_metrics",
+    "train_offline", "evaluate_teacher", "evaluate_deploy", "fit_metrics",
     "dataset_to_csv", "dataset_from_csv",
 ]
 
 WIDTH_FLOOR = 1e-2
 # the identification recipe: excitation, process noise, holdout share,
-# output-layer ridge scale, and the gradient stage's momentum and step cap
+# readout ridge scale, and the gradient stage's chunk length, momentum, step cap
 DWELL, EXCITATION_RANGE, NOISE_STD, HOLDOUT_FRAC = 50, (-2.0, 2.0), 0.01, 0.2
-RIDGE, MOMENTUM, ETA_MAX = 1e-6, 0.2, 10.0
+RIDGE, CHUNK_LEN, MOMENTUM, ETA_MAX = 1e-6, 32, 0.2, 10.0
 HISTORY_LEN = 1   # the closed loop keeps this many inputs and one more output
 _CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
 
@@ -153,33 +153,27 @@ def _hidden_states(net: TgrbfNet, X: np.ndarray) -> np.ndarray:
     return H
 
 
-def _ridge_rows(net: TgrbfNet, chunks: list, H: list) -> np.ndarray:
-    """Rows [g*phi, (1-g)*h_next, 1-g] of the output-layer system, stacked
-    over the chunks with their hidden states H: y_hat is their dot product
-    with (rbf_w, out_w, out_b)."""
-    rows = []
-    for (X, _), H_c in zip(chunks, H):
-        _, tr = net.forward(X, h_prev=H_c)
-        g = tr.g[:, None]
-        rows.append(np.hstack([g * tr.phi, (1.0 - g) * tr.h_next, 1.0 - g]))
-    return np.vstack(rows)
-
-
 def _solve_output_layers(net: TgrbfNet, chunks: list, H: list) -> None:
     """Least-squares initialization of the output-side weights.
 
     With the kernel activations, hidden states and gate values fixed at their
-    current-parameter traces, the prediction is linear in (rbf_w, out_w,
-    out_b); solving that ridge system in closed form gives a far better
-    starting point than random output weights."""
-    A = _ridge_rows(net, chunks, H)
+    current-parameter traces, the prediction is linear in the readout
+    (rbf_w, out_w, out_b), and its rows are the readout's columns of dy/dW;
+    solving that ridge system in closed form gives a far better starting
+    point than random output weights."""
+    readout = np.concatenate([np.arange(off, off + size)
+                              for name, off, size in net.layout()
+                              if name in ("rbf_w", "out_w", "out_b")])
+    # copied to C order: on a column index's F-ordered blocks A'b moves a digit
+    A = np.concatenate([net.jacobian_params(net.forward(X, h_prev=H_c)[1],
+                                            online_only=True)[:, readout]
+                        for (X, _), H_c in zip(chunks, H)]).copy()
     b = np.concatenate([targets for _, targets in chunks])
     AtA = A.T @ A
     # scale-aware ridge: collinear hidden features otherwise produce huge
     # mutually-cancelling weights that do not generalize
     AtA += RIDGE * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
-    sol = np.linalg.solve(AtA, A.T @ b)
-    net.rbf_w, net.out_w, net.out_b = sol[:net.m], sol[net.m:-1], sol[-1]
+    net.theta[readout] = np.linalg.solve(AtA, A.T @ b)
 
 
 def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
@@ -190,8 +184,8 @@ def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
     return total / (2.0 * sum(len(targets) for _, targets in chunks))
 
 
-def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
-                  chunk_len: int = 32) -> tuple[TgrbfNet, FitReport]:
+def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
+                  seed: int) -> tuple[TgrbfNet, FitReport]:
     """Minimize the squared prediction error over all trainable parameter
     segments with the explicit-step momentum rule, one contiguous chunk per
     gradient step (hidden state reset per chunk, single-step gradients).
@@ -205,8 +199,8 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
         raise ValueError("empty training set")
     net = net.copy()
     rng = np.random.Generator(np.random.PCG64(seed))
-    chunks = [(X[i:i + chunk_len], targets[i:i + chunk_len])
-              for i in range(0, len(X), chunk_len)]
+    chunks = [(X[i:i + CHUNK_LEN], targets[i:i + CHUNK_LEN])
+              for i in range(0, len(X), CHUNK_LEN)]
 
     # the ridge solve sets only rbf_w, out_w and out_b, which the hidden
     # states do not depend on: one scan serves it and the epoch-0 loss
@@ -225,13 +219,9 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int, seed: int,
             grad = JtF / len(F)
             eta, degenerate = explicit_step_size(F, J, JtF)
             eta = min(ETA_MAX, 1.0) if degenerate else min(eta, ETA_MAX)
-            W_next = momentum_update(net.theta, W_prev, grad, eta, MOMENTUM)
-            W_prev[:] = net.theta   # if rejected, theta stays and momentum is 0
-            if W_next is None:
-                continue
-            net.theta[:] = W_next
-            # keep kernel widths above the positivity floor
-            np.clip(net.widths, WIDTH_FLOOR, None, out=net.widths)
+            if momentum_update(net.theta, W_prev, grad, eta, MOMENTUM):
+                # keep kernel widths above the positivity floor
+                np.clip(net.widths, WIDTH_FLOOR, None, out=net.widths)
         H = [_hidden_states(net, X) for X, _ in chunks]
         loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:

@@ -178,13 +178,17 @@ def step_size_safeguard(eta: float, J: np.ndarray, alpha: float,
 
 
 def momentum_update(W: np.ndarray, W_prev: np.ndarray, grad: np.ndarray,
-                    eta: float, alpha: float) -> np.ndarray | None:
-    """W - eta*grad + alpha*(W - W_prev); None signals a rejected
-    (non-finite) step."""
+                    eta: float, alpha: float) -> bool:
+    """Write W - eta*grad + alpha*(W - W_prev) into W and the old W into
+    W_prev, the history of the next step; returns whether the step was
+    applied.  A non-finite step leaves W as it was, so W_prev = W drops the
+    stale momentum."""
     W_next = W - eta * grad + alpha * (W - W_prev)
+    W_prev[:] = W
     if not np.isfinite(W_next).all():
-        return None
-    return W_next
+        return False
+    W[:] = W_next
+    return True
 
 
 def batch_loss(net, X: np.ndarray, H: np.ndarray, targets: np.ndarray) -> float:
@@ -240,18 +244,13 @@ class OnlineOptimizer:
             eta0, J, alpha, self.cfg.eta_max)
         event.safeguard_hit = hit or degenerate
 
-        Wm = self.net.theta[:self.net.n_online]   # a view, written below
-        Wm_next = momentum_update(Wm, self.W_prev_masked, grad, eta, alpha)
-        # the parameters before this step; a rejected step keeps them, which
-        # drops the stale momentum
-        self.W_prev_masked = Wm.copy()
-        if Wm_next is None:
-            event.rejected, event.eta = True, 0.0
-            event.loss_after = event.loss_before
-        else:
-            Wm[:] = Wm_next
+        if momentum_update(self.net.theta[:self.net.n_online],
+                           self.W_prev_masked, grad, eta, alpha):
             event.eta = eta
             self._replay = (event, X, H, targets)
+        else:
+            event.rejected, event.eta = True, 0.0
+            event.loss_after = event.loss_before
         return event
 
     def maybe_update(self, k: int, e_pred: float) -> UpdateEvent | None:

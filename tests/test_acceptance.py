@@ -84,9 +84,9 @@ def test_criterion_02_scalar_newton_property():
         J = np.array([[-a]])
         eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
         assert not degenerate
-        w_next = online.momentum_update(np.array([w]), np.array([w]),
-                                        J.T @ F, eta, 0.0)
-        worst = max(worst, abs(b - a * float(w_next[0])))
+        W = np.array([w])
+        assert online.momentum_update(W, W.copy(), J.T @ F, eta, 0.0)
+        worst = max(worst, abs(b - a * float(W[0])))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 1.0
     _report(2, ok, f"worst residual {worst:.3e} on 100 affine problems "

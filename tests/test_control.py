@@ -25,22 +25,19 @@ def test_sig_alpha_validation():
 
 
 def test_control_law_hand_value():
-    g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7)
-    assert ctl.control_law(1.0, g, 10.0) == pytest.approx(2.3)
+    assert ctl.control_law(1.0, 1.5, 0.8, 0.7, 10.0) == pytest.approx(2.3)
 
 
 def test_control_law_zero_and_odd():
-    g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7)
-    assert ctl.control_law(0.0, g, 10.0) == 0.0
+    assert ctl.control_law(0.0, 1.5, 0.8, 0.7, 10.0) == 0.0
     for e in (0.2, 1.7):
-        assert ctl.control_law(-e, g, 10.0) == pytest.approx(
-            -ctl.control_law(e, g, 10.0))
+        assert ctl.control_law(-e, 1.5, 0.8, 0.7, 10.0) == pytest.approx(
+            -ctl.control_law(e, 1.5, 0.8, 0.7, 10.0))
 
 
 def test_control_law_actuator_clamp():
-    g = ctl.GainState(k1=50.0, k2=50.0, alpha_pow=0.5)
-    assert ctl.control_law(5.0, g, u_limit=10.0) == 10.0
-    assert ctl.control_law(-5.0, g, u_limit=10.0) == -10.0
+    assert ctl.control_law(5.0, 50.0, 50.0, 0.5, u_limit=10.0) == 10.0
+    assert ctl.control_law(-5.0, 50.0, 50.0, 0.5, u_limit=10.0) == -10.0
 
 
 def test_gain_state_validation():
@@ -61,38 +58,37 @@ def test_gain_state_rejects_k2_bounds_out_of_order():
 
 def test_adapt_gains_hand_value():
     g = ctl.GainState(k1=1.5, k2=0.8, alpha_pow=0.7, eta1=0.1, eta2=0.0)
-    g2 = ctl.adapt_gains(g, 0.5, 2.0)
-    assert g2.k1 == pytest.approx(1.55)
+    k1, k2 = ctl.adapt_gains(g, g.k1, g.k2, 0.5, 2.0)
+    assert k1 == pytest.approx(1.55) and k2 == g.k2
 
 
 def test_adapt_gains_zero_error_fixed_point():
     g = ctl.GainState()
-    g2 = ctl.adapt_gains(g, 0.0, 3.0)
-    assert (g2.k1, g2.k2) == (g.k1, g.k2)
+    assert ctl.adapt_gains(g, g.k1, g.k2, 0.0, 3.0) == (g.k1, g.k2)
 
 
 def test_adapt_gains_shares_sign_of_sensitivity():
-    g = ctl.GainState(k1=5.0, k2=5.0, eta1=0.1, eta2=0.1)
-    down = ctl.adapt_gains(g, 0.8, -2.0)
-    assert down.k1 < g.k1 and down.k2 < g.k2
-    up = ctl.adapt_gains(g, 0.8, 2.0)
-    assert up.k1 > g.k1 and up.k2 > g.k2
+    g = ctl.GainState(eta1=0.1, eta2=0.1)
+    k = (5.0, 5.0)   # the current gains, away from the configured ones
+    down = ctl.adapt_gains(g, *k, 0.8, -2.0)
+    assert down[0] < k[0] and down[1] < k[1]
+    up = ctl.adapt_gains(g, *k, 0.8, 2.0)
+    assert up[0] > k[0] and up[1] > k[1]
     # negative error moves gains the same way: e*sig_alpha(e) >= 0
-    up_neg = ctl.adapt_gains(g, -0.8, 2.0)
-    assert up_neg.k1 > g.k1 and up_neg.k2 > g.k2
+    up_neg = ctl.adapt_gains(g, *k, -0.8, 2.0)
+    assert up_neg[0] > k[0] and up_neg[1] > k[1]
 
 
 def test_adapt_gains_projection_onto_bounds():
-    g = ctl.GainState(k1=49.9, k2=0.02, eta1=100.0, eta2=100.0)
-    g2 = ctl.adapt_gains(g, 2.0, 5.0)
-    assert g2.k1 == g.k1_max
-    g3 = ctl.adapt_gains(g, 2.0, -5.0)
-    assert g3.k1 == g.k1_min and g3.k2 == g.k2_min
+    g = ctl.GainState(eta1=100.0, eta2=100.0)
+    k = (49.9, 0.02)
+    assert ctl.adapt_gains(g, *k, 2.0, 5.0)[0] == g.k1_max
+    assert ctl.adapt_gains(g, *k, 2.0, -5.0) == (g.k1_min, g.k2_min)
 
 
 def test_adapt_gains_skips_nonfinite_sensitivity():
     g = ctl.GainState()
-    assert ctl.adapt_gains(g, 1.0, math.nan) is g
+    assert ctl.adapt_gains(g, 4.0, 5.0, 1.0, math.nan) == (4.0, 5.0)
 
 
 def test_pid_pure_proportional():

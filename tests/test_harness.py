@@ -120,6 +120,24 @@ def test_metrics_overshoot_and_settling():
     assert rep.settling_time_s == pytest.approx(t[21])
 
 
+def test_settling_time_counts_from_the_step():
+    """A step at 1.0 s whose output enters the 2% band at 1.5 s and stays
+    there settles in 0.5 s.  Leaving the band only before the step, where
+    the output sits at 0.5 against a reference of 0, settles in 0."""
+    Ts = 0.01
+    t = np.arange(300) * Ts
+    spec = pl.ReferenceSpec(kind="step", amplitude=1.0, step_time_s=1.0)
+    r = np.array([pl.reference_at(spec, ti) for ti in t])
+    assert r[99] == 0.0 and r[100] == 1.0
+    y = np.zeros(300)
+    y[150:] = 1.0   # t[150] = 1.5 s
+    rep = harness.compute_metrics(_make_trace(t, r, y), spec, Ts)
+    assert rep.settled and rep.settling_time_s == pytest.approx(0.5)
+    y = np.where(r == 0.0, 0.5, 1.0)
+    rep = harness.compute_metrics(_make_trace(t, r, y), spec, Ts)
+    assert rep.settled and rep.settling_time_s == 0.0
+
+
 def test_metrics_zero_final_reference_flagged():
     t = np.arange(10) * 0.001
     rep = harness.compute_metrics(_make_trace(t, np.zeros(10), np.zeros(10)),
@@ -178,6 +196,26 @@ def test_nc_fixed_uses_dedicated_gains_when_given():
     assert t1.col("k1")[0] == 4.0
     assert t2.col("k1")[0] == 1.0
     assert not np.array_equal(t1.col("u"), t2.col("u"))
+
+
+def test_adaptive_gains_are_run_state_from_the_configured_gains():
+    """A tgrbf_nc run's k1 and k2 columns are adapt_gains applied step by
+    step over the trace's own e and dym_du, starting from the configured
+    gains k0; each step's control law reads the gains before that step's
+    adaptation.  The run leaves cfg.gains as they were."""
+    import tgrbf.control as ctl
+    cfg = harness.load_config(ROOT / "configs" / "sine.json")
+    cfg.checkpoint, cfg.duration_s = str(ROOT / cfg.checkpoint), 0.5
+    k0 = copy.deepcopy(cfg.gains)
+    trace, _ = harness.run_scenario(cfg)
+    assert cfg.gains == k0
+    g, k1, k2 = cfg.gains, cfg.gains.k1, cfg.gains.k2
+    for i, (e, dym_du) in enumerate(zip(trace.col("e"), trace.col("dym_du"))):
+        assert trace.col("u")[i] == ctl.control_law(e, k1, k2, g.alpha_pow,
+                                                    cfg.u_limit)
+        k1, k2 = ctl.adapt_gains(g, k1, k2, e, dym_du)
+        assert (trace.col("k1")[i], trace.col("k2")[i]) == (k1, k2)
+    assert k1 != k0.k1 and k2 != k0.k2   # the gains moved
 
 
 # -- export ------------------------------------------------------------------

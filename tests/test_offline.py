@@ -173,7 +173,8 @@ def test_train_offline_rejected_step_keeps_theta_and_drops_momentum(
 
     def spy(W, W_prev, grad, eta, alpha):
         calls.append((W.copy(), W_prev.copy()))
-        return None if len(calls) == 2 else real(W, W_prev, grad, eta, alpha)
+        # a non-finite step size makes the real update reject the second step
+        return real(W, W_prev, grad, math.nan if len(calls) == 2 else eta, alpha)
 
     monkeypatch.setattr(offline, "momentum_update", spy)
     data = offline.generate_dataset(200, seed=0)

@@ -220,13 +220,30 @@ def test_chunk_residuals_and_jacobian_match_the_loop(n):
 
 @pytest.mark.parametrize("n", LENGTHS)
 def test_ridge_rows_and_epoch_loss_match_the_loop(n):
+    """The ridge rows are the readout's (rbf_w, out_w, out_b) columns of the
+    online Jacobian: bit for bit the reference rows on the same per-sample
+    traces, and within TOL of them from the batched chunk passes (a batched
+    forward's g and h_next may differ from one sample's in the last bit)."""
     for net, rng in _nets(100 + n, 12):
         chunks = _chunks(_samples(rng, n), 32)
         split = _split(chunks)
         H = [offline._hidden_states(net, X) for X, _ in split]
-        A = offline._ridge_rows(net, split, H)
+        at = {name: (off, size) for name, off, size in net.layout()}
+        readout = np.r_[0:net.m, at["out_w"][0]:at["out_b"][0] + 1]
+        ref = _ref_ridge_rows(net, chunks)
+        rows = []
+        for chunk in chunks:
+            h = net.h_init.copy()
+            for row in chunk:
+                _, tr = net.forward(row[:-1], h_prev=h)
+                rows.append(net.jacobian_params(tr, online_only=True)[readout])
+                h = tr.h_next
+        assert np.stack(rows).tobytes() == ref.tobytes()
+        A = np.concatenate([net.jacobian_params(
+            net.forward(X, h_prev=H_c)[1], online_only=True)[:, readout]
+            for (X, _), H_c in zip(split, H)])
         assert A.shape == (n, net.m + net.p + 1)
-        assert _rel(A, _ref_ridge_rows(net, chunks)) <= TOL
+        assert _rel(A, ref) <= TOL
         loss = offline._epoch_loss(net, split, H)
         assert loss == pytest.approx(_ref_epoch_loss(net, chunks), rel=TOL)
 
@@ -270,12 +287,12 @@ def test_empty_holdout_gives_two_empty_arrays():
     (1000, 32, 6, 6, False, 4, 200),  # configs/identify.json
 ])
 def test_short_training_run_matches_the_reference_checkpoint(
-        n, chunk_len, m, p, gate_frozen, seed, epochs):
+        monkeypatch, n, chunk_len, m, p, gate_frozen, seed, epochs):
     data = offline.generate_dataset(n, seed=seed)
     net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
     net0.gate_frozen = gate_frozen
-    net, report = offline.train_offline(net0, data, epochs=epochs,
-                                        chunk_len=chunk_len, seed=seed)
+    monkeypatch.setattr(offline, "CHUNK_LEN", chunk_len)
+    net, report = offline.train_offline(net0, data, epochs=epochs, seed=seed)
     ref, loss_curve, halted = _ref_train(net0, data, epochs=epochs,
                                          chunk_len=chunk_len, seed=seed)
     got, want = net.to_vector(), ref.to_vector()
@@ -293,16 +310,19 @@ def test_short_training_run_matches_the_reference_checkpoint(
                                        rel=TRAIN_TOL)
 
 
-def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit():
+def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit(
+        monkeypatch):
     """The hidden states scanned before the ridge solve also give the epoch-0
     loss: the solve sets only output-side weights, which the scan does not
     read, so rescanning after it changes no bit."""
-    for seed, (n, m, p) in enumerate(((120, 2, 2), (70, 3, 4), (200, 6, 6))):
+    for seed, (n, m, p, chunk_len) in enumerate(((120, 2, 2, 32), (70, 3, 4, 32),
+                                                 (200, 6, 6, 32), (120, 2, 2, 20),
+                                                 (114, 2, 2, 9), (120, 3, 3, 16))):
+        monkeypatch.setattr(offline, "CHUNK_LEN", chunk_len)
         data = offline.generate_dataset(n, seed=seed)
         net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
-        net, report = offline.train_offline(net0, data, epochs=0,
-                                            chunk_len=32, seed=seed)
-        split = _split(_chunks(data.train().samples, 32))
+        net, report = offline.train_offline(net0, data, epochs=0, seed=seed)
+        split = _split(_chunks(data.train().samples, chunk_len))
         H = [offline._hidden_states(net, X) for X, _ in split]
         assert report.loss_curve == [offline._epoch_loss(net, split, H)]
         H0 = [offline._hidden_states(net0, X) for X, _ in split]

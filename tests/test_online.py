@@ -230,20 +230,24 @@ def test_safeguard_momentum_shrinks_cap():
 # -- momentum update ---------------------------------------------------------
 
 def test_momentum_update_plain_gradient_step():
-    w = online.momentum_update(np.array([1.0]), np.array([1.0]),
-                               np.array([2.0]), 0.5, 0.0)
-    assert w[0] == pytest.approx(0.0)
+    W, W_prev = np.array([1.0]), np.array([1.0])
+    assert online.momentum_update(W, W_prev, np.array([2.0]), 0.5, 0.0)
+    assert W[0] == pytest.approx(0.0) and W_prev[0] == 1.0
 
 
 def test_momentum_update_pure_momentum():
-    w = online.momentum_update(np.array([2.0]), np.array([1.0]),
-                               np.zeros(1), 1.0, 0.3)
-    assert w[0] == pytest.approx(2.3)
+    W, W_prev = np.array([2.0]), np.array([1.0])
+    assert online.momentum_update(W, W_prev, np.zeros(1), 1.0, 0.3)
+    assert W[0] == pytest.approx(2.3) and W_prev[0] == 2.0
 
 
 def test_momentum_update_rejects_nonfinite():
-    assert online.momentum_update(np.array([1.0]), np.array([1.0]),
-                                  np.array([math.inf]), 1.0, 0.0) is None
+    """A rejected step leaves W as it was, and W_prev = W drops the
+    momentum."""
+    for grad, eta in ((np.array([math.inf]), 1.0), (np.array([1.0]), math.nan)):
+        W, W_prev = np.array([2.0]), np.array([1.0])
+        assert not online.momentum_update(W, W_prev, grad, eta, 0.3)
+        assert W[0] == 2.0 and W_prev[0] == 2.0
 
 
 def test_scalar_newton_property_single_case():
@@ -253,8 +257,9 @@ def test_scalar_newton_property_single_case():
     J = np.array([[-a]])
     grad = J.T @ F
     eta, _ = online.explicit_step_size(F, J, grad)
-    w_next = online.momentum_update(np.array([w]), np.array([w]), grad, eta, 0.0)
-    assert abs(b - a * w_next[0]) < 1e-10
+    W = np.array([w])
+    assert online.momentum_update(W, W.copy(), grad, eta, 0.0)
+    assert abs(b - a * W[0]) < 1e-10
 
 
 def test_linear_residual_loss_never_increases():
@@ -488,11 +493,11 @@ def test_the_loss_after_replay_waits_one_settle_after_its_step(monkeypatch):
         net = _net(4, 3, 2)
         calls, written = [], []
 
-        def spy_step(*args):
-            W_next = step(*args)
+        def spy_step(W, *args):
+            applied = step(W, *args)
             calls.append("step")
-            written.append(W_next.copy())
-            return W_next
+            written.append(W.copy())
+            return applied
 
         def spy_loss(net_, X, H, targets):
             calls.append("loss")
@@ -614,8 +619,13 @@ def test_settled_loss_after_equals_a_replay_inside_the_step(
 
     def run(optimizer):
         calls = itertools.count()
-        monkeypatch.setattr(online, "momentum_update", lambda *args:
-                            None if next(calls) == 3 else step(*args))
+
+        def reject_the_fourth(W, W_prev, grad, eta, alpha):
+            # a non-finite step size makes the real update reject the step
+            return step(W, W_prev, grad, math.nan if next(calls) == 3 else eta,
+                        alpha)
+
+        monkeypatch.setattr(online, "momentum_update", reject_the_fourth)
         monkeypatch.setattr(harness, "OnlineOptimizer", optimizer)
         return harness.run_scenario(cfg)[0]
 
@@ -679,8 +689,9 @@ def test_online_segments_are_a_prefix_of_the_layout():
 
 
 def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
-    """The update writes the online prefix of theta in place; W_prev must be
-    a copy of the parameters before that write, not a view that follows it."""
+    """momentum_update writes the online prefix of theta in place and the
+    parameters before that write into the optimizer's W_prev, an array of its
+    own, not a view that follows theta."""
     net = _net(4, 3, 2)
     rng = np.random.Generator(np.random.PCG64(5))
     buf = online.ExperienceBuffer(50, net.n_in, net.p)
@@ -690,9 +701,12 @@ def test_momentum_history_is_the_parameters_before_the_last_step(monkeypatch):
     calls, step = [], online.momentum_update
 
     def spy(W, W_prev, grad, eta, alpha):
-        W_next = step(W, W_prev, grad, eta, alpha)
-        calls.append((W.copy(), W_prev.copy(), W_next.copy()))
-        return W_next
+        before = W.copy(), W_prev.copy()
+        applied = step(W, W_prev, grad, eta, alpha)
+        calls.append((*before, W.copy()))
+        # the history written is the parameters before the step
+        assert np.array_equal(W_prev, before[0])
+        return applied
 
     monkeypatch.setattr(online, "momentum_update", spy)
     # one-row batches, so that the safeguard leaves the step nonzero
