@@ -27,20 +27,21 @@ def kink_clear(trace) -> bool:
 
 
 def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate along the last axis, broadcasting the leading axes."""
-    lead = np.broadcast(a[..., 0], b[..., 0]).shape
-    return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]),
-                           np.broadcast_to(b, lead + b.shape[-1:])], axis=-1)
+    """Concatenate along the first axis, broadcasting the trailing one."""
+    out = np.empty((len(a) + len(b), max(a.shape[-1], b.shape[-1])))
+    out[:len(a)], out[len(a):] = a, b
+    return out
 
 
 def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
                 gate_frozen: bool) -> np.ndarray:
     """Network output from a dict of parameter arrays, written out
-    independently of the network kernel it audits.  `x` or entries of `prm`
-    may carry a common leading perturbation axis; y then carries it too."""
-    mv = lambda A, v: np.einsum("...ij,...j->...i", A, v)
-    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
-    d2 = np.sum((prm["centers"] - x[..., None, :]) ** 2, axis=-1)
+    independently of the network kernel it audits.  `x`, `h_prev` and each
+    entry of `prm` carry a trailing perturbation axis of length 1 or c, and
+    y is (c,); einsum runs every inner loop along that contiguous axis."""
+    mv = lambda A, v: np.einsum("ijc,jc->ic", A, v)
+    dot = lambda a, b: np.einsum("ic,ic->c", a, b)
+    d2 = np.sum((prm["centers"] - x[None]) ** 2, axis=1)
     y_rbf = dot(prm["rbf_w"], np.exp(-d2 / (2.0 * prm["widths"] ** 2)))
     zeta = _cat(x, h_prev)
     z = np.clip(mv(prm["W_z"], zeta) + prm["b_z"], 0.0, 1.0)
@@ -56,38 +57,39 @@ def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
 
 def _perturbed(base: np.ndarray, step: float) -> np.ndarray:
     """The copies base + step*e_i, then base - step*e_i, for every element
-    i, stacked on a leading axis of length 2*size."""
+    i, stacked on a trailing axis of length 2*size."""
     e = step * np.eye(base.size)
-    flat = base.reshape(-1)
-    return np.concatenate([flat + e, flat - e]).reshape((-1,) + base.shape)
+    flat = base.reshape(-1, 1)
+    return np.hstack([flat + e, flat - e]).reshape(base.shape + (-1,))
 
 
 def fd_jacobian_params(net: TgrbfNet, x, h_prev) -> np.ndarray:
     """Central finite differences of y with respect to the flat parameter
     vector, holding h_prev fixed (same truncation as the analytic path).
     The 2P copies W + FD_STEP*e_i, then W - FD_STEP*e_i, go through the
-    oracle in blocks of at most FD_BLOCK_BYTES of parameters."""
+    oracle as the columns of (P, cols) blocks of at most FD_BLOCK_BYTES."""
     x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
     W, layout = net.theta, net.layout()
     P = W.size
-    rows = max(1, FD_BLOCK_BYTES // (W.itemsize * P))
-    y = np.empty(2 * P)
-    for a in range(0, 2 * P, rows):
-        i = np.arange(a, min(a + rows, 2 * P))
-        block = np.tile(W, (i.size, 1))
-        block[np.arange(i.size), i % P] += np.where(i < P, FD_STEP, -FD_STEP)
-        y[i] = _value_only({name: block[:, off:off + size].reshape(
-                                (i.size,) + getattr(net, name).shape)
+    cols = max(1, FD_BLOCK_BYTES // (W.itemsize * P))
+    y, buf = np.empty(2 * P), np.empty((P, min(cols, 2 * P)))
+    for a in range(0, 2 * P, cols):
+        i = np.arange(a, min(a + cols, 2 * P))
+        block = buf[:, :i.size]   # one block's memory, refilled
+        block[...] = W[:, None]
+        block[i % P, np.arange(i.size)] += np.where(i < P, FD_STEP, -FD_STEP)
+        y[i] = _value_only({name: block[off:off + size].reshape(
+                                getattr(net, name).shape + (i.size,))
                             for name, off, size in layout},
-                           x, h_prev, net.gate_frozen)
+                           x[:, None], h_prev[:, None], net.gate_frozen)
     return (y[:P] - y[P:]) / (2.0 * FD_STEP)
 
 
 def fd_jacobian_input(net: TgrbfNet, x, h_prev) -> np.ndarray:
-    prm = {name: getattr(net, name) for name, _, _ in net.layout()}
+    prm = {name: getattr(net, name)[..., None] for name, _, _ in net.layout()}
     xs = _perturbed(np.asarray(x, dtype=float), FD_STEP)
-    yp, ym = np.split(_value_only(prm, xs, np.asarray(h_prev, dtype=float),
-                                  net.gate_frozen), 2)
+    h_prev = np.asarray(h_prev, dtype=float)[:, None]
+    yp, ym = np.split(_value_only(prm, xs, h_prev, net.gate_frozen), 2)
     return (yp - ym) / (2.0 * FD_STEP)
 
 

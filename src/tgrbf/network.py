@@ -175,9 +175,8 @@ class TgrbfNet:
         bounds = np.cumsum([0] + sizes).tolist()
         theta = np.concatenate([np.ravel(segments[name]) for name in shapes],
                                dtype=float)
-        for (name, shape), seg in zip(shapes.items(),
-                                      np.split(theta, bounds[1:-1])):
-            self.__dict__[name] = seg.reshape(shape)
+        for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:]):
+            self.__dict__[name] = theta[a:b].reshape(shape)
         self.__dict__["theta"] = theta
         # the stacked views: [W_z; W_r; W_h; gate_w] and [b_z; b_r] are adjacent
         off, p = dict(zip(shapes, bounds)), h_init.size
@@ -300,6 +299,13 @@ class TgrbfNet:
         J = left.repeat(self._repeats[:left.shape[-1]], axis=-1)
         J *= np.concatenate(right, axis=-1)
         return J
+
+    def readout_rows(self, trace: ForwardTrace) -> np.ndarray:
+        """The readout's (rbf_w, out_w, out_b) columns of dy/dW, [g*phi,
+        (1 - g)*h_next, 1 - g]: (m + p + 1,), or (s, m + p + 1) for a batch."""
+        g = np.asarray(trace.g)[..., None]
+        return np.concatenate([g * trace.phi, (1.0 - g) * trace.h_next,
+                               1.0 - g], axis=-1)
 
     def jacobian_input(self, trace: ForwardTrace) -> np.ndarray:
         """dy/dx, shape (n_in,) for a single-sample trace, (s, n_in) for a

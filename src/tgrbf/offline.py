@@ -143,14 +143,26 @@ def _hidden_states(net: TgrbfNet, X: np.ndarray) -> np.ndarray:
     """Hidden state entering each step of a chronological input sequence,
     reset to h_init at its start; one batched forward from them gives the
     sequence's one-step predictions.  The chain depends on the LGRU branch
-    alone, so it is scanned one sample at a time with `lgru_step` (bit for
-    bit the h_next chain of single-sample forwards)."""
-    H = np.empty((len(X), net.p))
+    alone, so it is scanned with `lgru_step`, bit for bit the h_next chain
+    of single-sample forwards: X is (n, n_in), or (n, c, 1, n_in) for c
+    sequences side by side, whose singleton row axis keeps each step one-row
+    products (a (c, n_in) step is one GEMM, which moves the last bit)."""
+    H = np.empty(X.shape[:-1] + (net.p,))
     H[:1] = net.h_init
     for i in range(1, len(X)):
         H[i] = lgru_step(X[i - 1], H[i - 1], net.W_zr, net.b_zr, net.W_h,
                          net.b_h)[0]
     return H
+
+
+def _chunk_states(net: TgrbfNet, X: np.ndarray) -> list:
+    """`_hidden_states` of each CHUNK_LEN chunk of X, scanned side by side
+    (a ragged last chunk padded with zero rows, their states dropped)."""
+    stack = np.zeros((-(-len(X) // CHUNK_LEN), CHUNK_LEN, 1, X.shape[1]))
+    stack.reshape(-1, X.shape[1])[:len(X)] = X
+    H = _hidden_states(net, stack.swapaxes(0, 1)).swapaxes(0, 1)
+    return np.split(H.reshape(-1, net.p)[:len(X)],
+                    range(CHUNK_LEN, len(X), CHUNK_LEN))
 
 
 def _solve_output_layers(net: TgrbfNet, chunks: list, H: list) -> None:
@@ -161,19 +173,15 @@ def _solve_output_layers(net: TgrbfNet, chunks: list, H: list) -> None:
     (rbf_w, out_w, out_b), and its rows are the readout's columns of dy/dW;
     solving that ridge system in closed form gives a far better starting
     point than random output weights."""
-    readout = np.concatenate([np.arange(off, off + size)
-                              for name, off, size in net.layout()
-                              if name in ("rbf_w", "out_w", "out_b")])
-    # copied to C order: on a column index's F-ordered blocks A'b moves a digit
-    A = np.concatenate([net.jacobian_params(net.forward(X, h_prev=H_c)[1],
-                                            online_only=True)[:, readout]
-                        for (X, _), H_c in zip(chunks, H)]).copy()
+    A = np.concatenate([net.readout_rows(net.forward(X, h_prev=H_c)[1])
+                        for (X, _), H_c in zip(chunks, H)])
     b = np.concatenate([targets for _, targets in chunks])
     AtA = A.T @ A
     # scale-aware ridge: collinear hidden features otherwise produce huge
     # mutually-cancelling weights that do not generalize
     AtA += RIDGE * (np.trace(AtA) / A.shape[1]) * np.eye(A.shape[1])
-    net.theta[readout] = np.linalg.solve(AtA, A.T @ b)
+    sol = np.linalg.solve(AtA, A.T @ b)
+    net.rbf_w, net.out_w, net.out_b = sol[:net.m], sol[net.m:-1], sol[-1]
 
 
 def _epoch_loss(net: TgrbfNet, chunks: list, H: list) -> float:
@@ -204,7 +212,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
 
     # the ridge solve sets only rbf_w, out_w and out_b, which the hidden
     # states do not depend on: one scan serves it and the epoch-0 loss
-    H = [_hidden_states(net, X) for X, _ in chunks]
+    H = _chunk_states(net, X)
     _solve_output_layers(net, chunks, H)
     W_prev = net.to_vector()
     loss_curve = [_epoch_loss(net, chunks, H)]
@@ -212,9 +220,9 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
     for epoch in range(epochs):
         W_epoch_start = net.to_vector()
         for ci in rng.permutation(len(chunks)):
-            X, targets = chunks[ci]
-            y_hat, trace = net.forward(X, h_prev=_hidden_states(net, X))
-            F, J = targets - y_hat, -net.jacobian_params(trace)   # J = dF/dW
+            X_c, targets_c = chunks[ci]
+            y_hat, trace = net.forward(X_c, h_prev=_hidden_states(net, X_c))
+            F, J = targets_c - y_hat, -net.jacobian_params(trace)   # J = dF/dW
             JtF = J.T @ F
             grad = JtF / len(F)
             eta, degenerate = explicit_step_size(F, J, JtF)
@@ -222,7 +230,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
             if momentum_update(net.theta, W_prev, grad, eta, MOMENTUM):
                 # keep kernel widths above the positivity floor
                 np.clip(net.widths, WIDTH_FLOOR, None, out=net.widths)
-        H = [_hidden_states(net, X) for X, _ in chunks]
+        H = _chunk_states(net, X)
         loss = _epoch_loss(net, chunks, H)
         if loss > loss_curve[-1]:
             net.theta = W_epoch_start

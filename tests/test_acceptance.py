@@ -5,6 +5,7 @@ fixtures run the shipped step and sine scenarios once per session and share
 the results across criteria.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -232,6 +233,34 @@ def test_criterion_08_buffer_policy_oracle():
         trials += 1
     _report(8, True, f"{trials} push sequences match the brute-force oracle, "
                      f"capacities {capacities}")
+
+
+def test_closed_loop_numbers_match_the_reference_file(step_compare,
+                                                      sine_compare):
+    """Every number of artifacts/closed_loop.csv, `tgrbf compare`'s tables
+    for step.json and sine.json and each run's update count (written by
+    tests/write_closed_loop_reference.py): the metrics to 1e-9 relative,
+    nan to nan; settled, aborted and the update counts exactly."""
+    with open(ROOT / "artifacts" / "closed_loop.csv", newline="") as fh:
+        ref = list(csv.DictReader(fh))
+    results = {"step.json": step_compare[1], "sine.json": sine_compare[1]}
+    assert [(row["config"], row["controller"]) for row in ref] == [
+        (config, name) for config, res in results.items() for name in res]
+    floats = ("iae", "ise", "itae", "overshoot_pct", "settling_time_s")
+    for row in ref:
+        trace, metrics = results[row["config"]][row["controller"]]
+        where = (row["config"], row["controller"])
+        assert int(row["aborted"]) == (trace is None), where
+        if trace is None:
+            assert all(row[key] == "nan" for key in (*floats, "settled"))
+            assert int(row["updates"]) == 0, where
+            continue
+        for key in floats:
+            got, want = getattr(metrics, key), float(row[key])
+            assert (math.isnan(got) if math.isnan(want)
+                    else math.isclose(got, want, rel_tol=1e-9)), (where, key)
+        assert int(row["settled"]) == metrics.settled, where
+        assert int(row["updates"]) == len(trace.events), where
 
 
 def test_criterion_09_compare_determinism(tmp_path):

@@ -153,6 +153,23 @@ def test_batch_sizes_one_to_forty():
             _assert_batch_matches(net, X, H)
 
 
+def test_readout_rows_are_the_readout_columns_of_the_jacobian_bit_for_bit():
+    """`readout_rows` builds the (rbf_w, out_w, out_b) columns of the online
+    Jacobian alone, on a 32-row trace and on a single-sample trace."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    for net, _, _ in _cases(7, 20):
+        at = {name: (off, size) for name, off, size in net.layout()}
+        readout = np.r_[0:net.m, at["out_w"][0]:at["out_b"][0] + 1]
+        X = rng.uniform(-1.5, 1.5, size=(32, 3))
+        H = rng.uniform(-0.8, 0.8, size=(32, net.p))
+        for x, h in ((X, H), (X[0], H[0])):
+            tr = net.forward(x, h_prev=h)[1]
+            rows = net.readout_rows(tr)
+            want = net.jacobian_params(tr, online_only=True)[..., readout]
+            assert rows.shape == want.shape == x.shape[:-1] + (net.m + net.p + 1,)
+            assert rows.tobytes() == want.tobytes()
+
+
 def test_kink_pre_activations_match_exactly():
     """pre_z = x0 and pre_r = x1 exactly, placed on and next to 0 and 1."""
     rng = np.random.Generator(np.random.PCG64(4))

@@ -1,14 +1,14 @@
 """The finite-difference oracle of tgrbf.gradcheck.
 
-The oracle evaluates the perturbed copies of the whole parameter vector in
-blocks of rows (and all perturbed inputs in one call).  The references below
-are the scalar oracle: one forward evaluation per perturbed element, on a
-copy of the network, whose segments (the 0-d biases too) are views of its
-parameter vector and so can be perturbed in place; and the per-segment
-oracle, one call per parameter segment.  The tests check that the blocked
-oracle agrees with both, that its blocks and peak memory stay within the
-block budget, that it never calls the network kernel it audits, and that
-the audit still catches a wrong Jacobian.
+The oracle evaluates the perturbed copies of the whole parameter vector as
+the columns of blocks (and all perturbed inputs in one call).  The
+references below are the scalar oracle: one forward evaluation per
+perturbed element, on a copy of the network, whose segments (the 0-d
+biases too) are views of its parameter vector and so can be perturbed in
+place; and the per-segment oracle, one call per parameter segment.  The
+tests check that the blocked oracle agrees with both, that its blocks and
+peak memory stay within the block budget, that it never calls the network
+kernel it audits, and that the audit still catches a wrong Jacobian.
 """
 
 import math
@@ -105,9 +105,10 @@ def _per_segment_fd_params(net, x, h_prev, step=FD_STEP):
     prm = _params(net)
     out = []
     for name, _ in _SEGMENTS:
-        rows = gradcheck._perturbed(prm[name], step)
-        yp, ym = np.split(gradcheck._value_only({**prm, name: rows}, x, h_prev,
-                                                net.gate_frozen), 2)
+        cols = gradcheck._perturbed(getattr(net, name), step)
+        yp, ym = np.split(gradcheck._value_only(
+            {**prm, name: cols}, x[:, None], h_prev[:, None],
+            net.gate_frozen), 2)
         out.append((yp - ym) / (2.0 * step))
     return np.concatenate(out)
 
@@ -123,7 +124,9 @@ def _cases(seed, n):
 
 
 def _params(net):
-    return {name: np.asarray(getattr(net, name), dtype=float)
+    """Every segment with the oracle's trailing perturbation axis, of
+    length 1."""
+    return {name: np.asarray(getattr(net, name), dtype=float)[..., None]
             for name, _ in _SEGMENTS}
 
 
@@ -194,24 +197,26 @@ def test_batched_values_match_scalar_reference_per_perturbation():
     for net, x, h_prev in _cases(21, 30):
         prm = _params(net)
         for name, _ in _SEGMENTS:
-            rows = gradcheck._perturbed(prm[name], FD_STEP)
+            cols = gradcheck._perturbed(getattr(net, name), FD_STEP)
             ref_rows, ref_values = _ref_segment(net, name, x, h_prev)
             # the perturbed parameters are those of the scalar loop, exactly
-            assert np.array_equal(rows.reshape(len(rows), -1), ref_rows)
-            values = gradcheck._value_only({**prm, name: rows}, x, h_prev,
-                                           net.gate_frozen)
+            assert np.array_equal(cols.reshape(-1, cols.shape[-1]).T, ref_rows)
+            values = gradcheck._value_only({**prm, name: cols}, x[:, None],
+                                           h_prev[:, None], net.gate_frozen)
             assert _rel(values, ref_values) <= VALUE_TOL
         xs = gradcheck._perturbed(x, FD_STEP)
-        values = gradcheck._value_only(prm, xs, h_prev, net.gate_frozen)
-        ref_values = [_ref_value(net, xi, h_prev) for xi in xs]
+        values = gradcheck._value_only(prm, xs, h_prev[:, None],
+                                       net.gate_frozen)
+        ref_values = [_ref_value(net, xi, h_prev) for xi in xs.T]
         assert _rel(values, ref_values) <= VALUE_TOL
 
 
 def test_unperturbed_value_matches_forward():
     for net, x, h_prev in _cases(22, 20):
         y, _ = net.forward(x, h_prev=h_prev)
-        value = gradcheck._value_only(_params(net), x, h_prev, net.gate_frozen)
-        assert _rel(value, y) <= VALUE_TOL
+        value = gradcheck._value_only(_params(net), x[:, None],
+                                      h_prev[:, None], net.gate_frozen)
+        assert _rel(value, [y]) <= VALUE_TOL
 
 
 def test_frozen_gate_columns_are_exactly_zero():

@@ -195,14 +195,33 @@ LENGTHS = (1, 5, 32, 64, 65, 70)
 
 # -- the scanned hidden-state chain --------------------------------------------
 
-def test_scanned_hidden_states_equal_the_h_next_chain_bit_for_bit():
+def _h_next_chain(net, X):
+    """The hidden states entering each row, from h_init, by single-sample
+    forwards."""
+    H, h = [], net.h_init.copy()
+    for x in X:
+        H.append(h)
+        h = net.forward(x, h_prev=h)[1].h_next
+    return np.array(H).reshape(len(X), net.p)
+
+
+def test_scanned_hidden_states_equal_the_h_next_chain_bit_for_bit(
+        monkeypatch):
     for net, rng in _nets(0, 40):
         X = _samples(rng, int(rng.integers(1, 60)))[:, :-1]
         H = offline._hidden_states(net, X)
-        h = net.h_init.copy()
-        for i, x in enumerate(X):
-            assert H[i].tobytes() == h.tobytes()
-            h = net.forward(x, h_prev=h)[1].h_next
+        assert H.tobytes() == _h_next_chain(net, X).tobytes()
+    # the training chunks scanned side by side: 25 chunks of 32 rows, and
+    # the epoch-0 test's chunk lengths, each with a ragged last chunk
+    for n, chunk_len in ((800, 32), (96, 20), (91, 9), (70, 16)):
+        monkeypatch.setattr(offline, "CHUNK_LEN", chunk_len)
+        for net, rng in _nets(chunk_len, 8):
+            X = _samples(rng, n)[:, :-1]
+            H = offline._chunk_states(net, X)
+            chunks = _chunks(X, chunk_len)
+            assert [len(H_c) for H_c in H] == [len(X_c) for X_c in chunks]
+            for H_c, X_c in zip(H, chunks):
+                assert np.array_equal(H_c, _h_next_chain(net, X_c))
 
 
 # -- chunk passes, ridge rows and the epoch loss -------------------------------
@@ -239,9 +258,8 @@ def test_ridge_rows_and_epoch_loss_match_the_loop(n):
                 rows.append(net.jacobian_params(tr, online_only=True)[readout])
                 h = tr.h_next
         assert np.stack(rows).tobytes() == ref.tobytes()
-        A = np.concatenate([net.jacobian_params(
-            net.forward(X, h_prev=H_c)[1], online_only=True)[:, readout]
-            for (X, _), H_c in zip(split, H)])
+        A = np.concatenate([net.readout_rows(net.forward(X, h_prev=H_c)[1])
+                            for (X, _), H_c in zip(split, H)])
         assert A.shape == (n, net.m + net.p + 1)
         assert _rel(A, ref) <= TOL
         loss = offline._epoch_loss(net, split, H)
