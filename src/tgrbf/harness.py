@@ -20,7 +20,7 @@ from . import __version__
 from . import control as ctl
 from . import plant as pl
 from .network import TgrbfNet
-from .offline import HISTORY_LEN, Dataset, _write_csv
+from .offline import HISTORY_LEN, Dataset, _write_csv, _write_rows
 from .online import ExperienceBuffer, OnlineOptimizer, TriggerConfig
 
 __all__ = [
@@ -33,6 +33,7 @@ TRACE_COLUMNS = ["t", "r", "y", "e", "u", "y_pred", "k1", "k2", "dym_du",
                  "g", "triggered", "eta"]
 
 CONTROLLER_TYPES = ("tgrbf_nc", "nc_fixed", "pid")
+_DYM_DU_ROWS = 256   # steps per batched pass of the baselines' dy/du: a fixed peak
 
 
 class RunAborted(RuntimeError):
@@ -205,6 +206,7 @@ def run_scenario(cfg: ScenarioConfig,
     history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
     data = np.zeros((n, len(TRACE_COLUMNS)))
+    zeta = np.empty((n, net.n_in + net.p)) if net is not None and not adaptive else None
 
     for k in range(n):
         t = k * cfg.plant.Ts
@@ -224,7 +226,10 @@ def run_scenario(cfg: ScenarioConfig,
             X, targets = history.regressor(deploy=True)
             y_pred, trace = net.advance(X[-1])
             g_val = trace.g
-            dym_du = float(net.jacobian_input(trace)[0])
+            if adaptive:
+                dym_du = float(net.jacobian_input(trace)[0])
+            else:   # the baselines' dy/du is filled after the loop
+                zeta[k] = trace.zeta   # [x, h_prev]
             e_pred = y - y_pred
 
         if cfg.controller == "pid":
@@ -250,6 +255,11 @@ def run_scenario(cfg: ScenarioConfig,
         for ev in opt.events:   # the update log fills the update columns
             data[ev.k, TRACE_COLUMNS.index("triggered")] = 1.0
             data[ev.k, TRACE_COLUMNS.index("eta")] = ev.eta
+    elif net is not None:   # the baselines' dy/du, one batched pass per block
+        for i in range(0, n, _DYM_DU_ROWS):
+            x, h = np.hsplit(zeta[i:i + _DYM_DU_ROWS], [net.n_in])
+            trace = net.forward(x, h_prev=h)[1]
+            data[i:i + len(x), TRACE_COLUMNS.index("dym_du")] = net.jacobian_input(trace)[:, 0]
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,
@@ -311,19 +321,9 @@ def compare_controllers(cfg: ScenarioConfig,
     return out
 
 
-_EXPORT_ROWS = 64   # trace rows per string operation; more saves no time, costs memory
-
-
 def export_trace_csv(trace: RunTrace, path) -> None:
-    """Values as %.17g, CRLF line ends (the csv module's bytes for these
-    unquoted fields), streamed in blocks of rows, never built whole in
-    memory."""
-    line = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for i in range(0, len(trace.data), _EXPORT_ROWS):
-            block = trace.data[i:i + _EXPORT_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    _write_rows(path, TRACE_COLUMNS, trace.data,
+                ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n")
 
 
 def export_metrics_csv(rep: MetricsReport, path) -> None:

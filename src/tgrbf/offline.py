@@ -33,6 +33,7 @@ DWELL, EXCITATION_RANGE, NOISE_STD, HOLDOUT_FRAC = 50, (-2.0, 2.0), 0.01, 0.2
 RIDGE, CHUNK_LEN, MOMENTUM, ETA_MAX = 1e-6, 32, 0.2, 10.0
 HISTORY_LEN = 1   # the closed loop keeps this many inputs and one more output
 _CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
+_EXPORT_ROWS = 64   # CSV rows per string operation; more saves no time, costs memory
 
 
 @dataclass
@@ -87,20 +88,19 @@ def excitation_signal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_dataset(n: int, seed: int) -> Dataset:
-    """Simulate the nominal model under the excitation signal and record
-    the input and output series."""
+    """Simulate the nominal model under the excitation signal and process
+    noise drawn in one call after it (the doubles of one draw per step)."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = excitation_signal(n, rng)
+    w = NOISE_STD * rng.standard_normal(n)
     state = pl.make_state(pl.NOMINAL_PLANT)
-    y = np.empty(n + 1)      # y[k + 1] is the output after u[k]
-    y[0] = pl.output(state, pl.NOMINAL_PLANT)
-    for k in range(n):
-        w = NOISE_STD * rng.standard_normal()
-        state = pl.plant_step(state, float(u[k]), w, pl.NOMINAL_PLANT)
-        y[k + 1] = pl.output(state, pl.NOMINAL_PLANT)
-    return Dataset(u, y)
+    y = [pl.output(state, pl.NOMINAL_PLANT)]   # y[k + 1] is the output after u[k]
+    for u_k, w_k in zip(u.tolist(), w.tolist()):
+        state = pl.plant_step(state, u_k, w_k, pl.NOMINAL_PLANT)
+        y.append(pl.output(state, pl.NOMINAL_PLANT))
+    return Dataset(u, np.array(y))
 
 
 def initialize_network(data: Dataset, m: int, p: int, seed: int) -> TgrbfNet:
@@ -283,9 +283,19 @@ def _write_csv(path, header: list, rows) -> None:
                     for row in rows)
 
 
+def _write_rows(path, header: list, data: np.ndarray, line: str) -> None:
+    """A float array's rows, each as `line` (%d or %.17g fields, CRLF end),
+    the csv module's bytes for them; streamed, _EXPORT_ROWS rows per write."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(data), _EXPORT_ROWS):
+            block = data[i:i + _EXPORT_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def dataset_to_csv(data: Dataset, path) -> None:
-    _write_csv(path, _CSV_HEADER,
-               ([k, *row] for k, row in enumerate(data.samples.tolist())))
+    rows = np.column_stack((np.arange(len(data.u)), *data.regressor()))
+    _write_rows(path, _CSV_HEADER, rows, "%d" + ",%.17g" * 4 + "\r\n")
 
 
 def dataset_from_csv(path) -> Dataset:

@@ -4,8 +4,10 @@ The network kernel, the replay hidden state and the trace export were
 rewritten to make fewer numpy and Python calls per step.  These tests keep
 the code they replaced: a forward with separate update and reset gates,
 np.clip clamps and np.sum, float masks, the hand derivation of dy/dx, a
-full forward for the replay state, the safeguard's SVD of the wide J and a
-csv.writer export.
+full forward for the replay state, the safeguard's SVD of the wide J, a
+csv.writer export of the trace and the dataset, the identification loop
+with one noise draw per step, and the baselines' loop with dy/du taken at
+each step.
 
 The kernel now runs both gates as one stacked affine map, clamp and mask
 (W_zr = [W_z; W_r]), and dy/dx is one product of its first-layer terms with
@@ -15,9 +17,11 @@ field), `jacobian_params` and `jacobian_input` are held to 1e-12 relative
 to the kept references, the bound for numerical refactors, and a
 closed-loop run with the new kernel must fire the same updates as one with
 the references.  The safeguard now factors the tall J', whose singular
-values equal J's to rounding.  The replay state and the trace export must still give the
-same bits, compared with np.array_equal (signed zeros included) or byte for
-byte.
+values equal J's to rounding.  The replay state, the identification
+dataset and both CSV exports must still give the same bits, compared with
+np.array_equal (signed zeros included) or byte for byte.  The baselines'
+dy/du, one batched pass per block of steps after the loop, is held to
+DYM_DU_DRIFT; their other trace columns keep every bit.
 """
 
 import csv
@@ -29,7 +33,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgrbf import harness, online
+from tgrbf import control as ctl
+from tgrbf import harness, offline, online
+from tgrbf import plant as pl
 from tgrbf.network import _SEGMENTS, ForwardTrace, TgrbfNet, random_net, sigmoid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,20 +115,21 @@ def _ref_jacobian_params(net, trace, online_only=False):
 
 def _ref_jacobian_input(net, trace):
     n_in = net.n_in
-    g = trace.g
-    diff = net.centers - trace.zeta[:n_in]
-    d_rbf = g * np.sum((net.rbf_w * trace.phi / net.widths ** 2)[:, None] * diff,
-                       axis=0)
+    g = np.asarray(trace.g)[..., None]
+    diff = net.centers - trace.zeta[..., None, :n_in]
+    d_rbf = g * np.sum((net.rbf_w * trace.phi / net.widths ** 2)[..., None] * diff,
+                       axis=-2)
     q = (1.0 - g) * net.out_w
     mz = _ref_clamp_mask(trace.pre_zr[..., :net.p])
     mr = _ref_clamp_mask(trace.pre_zr[..., net.p:])
     dn_dx = (net.W_h[:, :n_in]
-             + net.W_h[:, n_in:] @ ((trace.h_prev * mr)[:, None] * net.W_r[:, :n_in]))
-    dh_dx = ((trace.n - trace.h_prev) * mz)[:, None] * net.W_z[:, :n_in] \
-        + trace.zr[:net.p, None] * dn_dx
+             + net.W_h[:, n_in:] @ ((trace.h_prev * mr)[..., None] * net.W_r[:, :n_in]))
+    dh_dx = ((trace.n - trace.h_prev) * mz)[..., None] * net.W_z[:, :n_in] \
+        + trace.zr[..., :net.p, None] * dn_dx
     d_gate = (0.0 if net.gate_frozen
-              else g * (1.0 - g) * (trace.y_rbf - trace.y_gru) * net.gate_w[:n_in])
-    return d_rbf + q @ dh_dx + d_gate
+              else g * (1.0 - g) * np.asarray(trace.y_rbf - trace.y_gru)[..., None]
+              * net.gate_w[:n_in])
+    return d_rbf + (q[..., None, :] @ dh_dx)[..., 0, :] + d_gate
 
 
 def _ref_step_size_safeguard(eta, J, alpha, eta_max):
@@ -145,6 +152,62 @@ def _ref_export_trace_csv(trace, path):
         w.writerow(harness.TRACE_COLUMNS)
         for row in trace.data:
             w.writerow([f"{v:.17g}" for v in row])
+
+
+def _ref_generate_dataset(n, seed):
+    """generate_dataset with one noise draw per step, written into y."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = offline.excitation_signal(n, rng)
+    state = pl.make_state(pl.NOMINAL_PLANT)
+    y = np.empty(n + 1)
+    y[0] = pl.output(state, pl.NOMINAL_PLANT)
+    for k in range(n):
+        w = offline.NOISE_STD * rng.standard_normal()
+        state = pl.plant_step(state, float(u[k]), w, pl.NOMINAL_PLANT)
+        y[k + 1] = pl.output(state, pl.NOMINAL_PLANT)
+    return offline.Dataset(u, y)
+
+
+def _ref_dataset_to_csv(data, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "u", "y_prev", "y_teacher", "target"])
+        for k, row in enumerate(data.samples.tolist()):
+            w.writerow([k, *(f"{v:.17g}" for v in row)])
+
+
+def _ref_baseline_run(cfg, net):
+    """run_scenario's loop for nc_fixed and pid, dy/du taken at each step."""
+    net = net.copy()
+    net.reset()
+    noise = np.random.Generator(np.random.PCG64(cfg.seed))
+    state = pl.make_state(cfg.plant)
+    gains = (cfg.nc_gains if cfg.controller == "nc_fixed"
+             and cfg.nc_gains is not None else cfg.gains)
+    e_prev, integral = 0.0, 0.0
+    history = offline.Dataset(np.zeros(offline.HISTORY_LEN),
+                              np.zeros(offline.HISTORY_LEN + 1))
+    data = np.zeros((cfg.n_steps, len(harness.TRACE_COLUMNS)))
+    for k in range(cfg.n_steps):
+        t = k * cfg.plant.Ts
+        r = pl.reference_at(cfg.reference, t)
+        y = pl.output(state, cfg.plant)
+        e = r - y
+        history.y[:-1], history.y[-1] = history.y[1:], y
+        y_pred, trace = net.advance(history.regressor(deploy=True)[0][-1])
+        dym_du = float(net.jacobian_input(trace)[0])
+        if cfg.controller == "pid":
+            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral,
+                                       cfg.plant.Ts, cfg.u_limit)
+            e_prev = e
+        else:
+            u = ctl.control_law(e, gains.k1, gains.k2, gains.alpha_pow, cfg.u_limit)
+        d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
+        state = pl.plant_step(state, u, d, cfg.plant)
+        data[k] = (t, r, y, e, u, y_pred, gains.k1, gains.k2, dym_du, trace.g,
+                   0.0, 0.0)
+        history.u[:-1], history.u[-1] = history.u[1:], u
+    return data
 
 
 # -- helpers -----------------------------------------------------------------
@@ -217,8 +280,7 @@ def test_kernel_matches_kept_reference(batch):
             assert type(y) is type(y_ref) and _close(y, y_ref)
             assert _close_trace(tr, tr_ref)
             assert _close(net.jacobian_params(tr), _ref_jacobian_params(net, tr_ref))
-            if batch is None:
-                assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
+            assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
 
 
 def test_one_input_keeps_the_input_and_width_checks():
@@ -505,3 +567,72 @@ def test_trace_export_streams_rows(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 2_000_000
     assert peak < 1_000_000
+
+
+# -- identification dataset --------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 49, 1000])
+def test_dataset_equals_the_per_step_noise_draws_bit_for_bit(monkeypatch, n):
+    """One noise draw of n after the excitation gives the doubles of n draws
+    of one, and the simulation makes one plant_step call per sample."""
+    calls = []
+    plant_step = pl.plant_step
+    monkeypatch.setattr(pl, "plant_step",
+                        lambda *args: calls.append(1) or plant_step(*args))
+    for seed in range(10):
+        ref = _ref_generate_dataset(n, seed)
+        calls.clear()
+        data = offline.generate_dataset(n, seed)
+        assert len(calls) == n
+        assert data.u.tobytes() == ref.u.tobytes()
+        assert data.y.tobytes() == ref.y.tobytes()
+
+
+def _special_dataset(n):
+    rng = np.random.default_rng(n)
+    u, y = rng.normal(size=n), rng.normal(size=n + 1)
+    u *= 10.0 ** rng.integers(-300, 300, size=n)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e300, 0.1]
+    k = min(len(special), n)
+    u[:k], y[:k] = special[::-1][:k], special[:k]
+    return offline.Dataset(u, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_dataset_csv_is_byte_identical_to_csv_writer(tmp_path, n):
+    data = _special_dataset(n)
+    offline.dataset_to_csv(data, tmp_path / "new.csv")
+    _ref_dataset_to_csv(data, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_identify_recipe_dataset_is_the_shipped_file(tmp_path):
+    """configs/identify.json's dataset (1000 samples, seed 4), written
+    out, is artifacts/dataset.csv byte for byte."""
+    offline.dataset_to_csv(offline.generate_dataset(1000, 4), tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == \
+        (ROOT / "artifacts" / "dataset.csv").read_bytes()
+
+
+# -- the baselines' dy/du ----------------------------------------------------
+
+# The baselines' dy/du comes from one batched forward and jacobian_input per
+# block of steps, not one per step: to this bound relative to the largest
+# |dy/du| of the run.  Every other column is unchanged to the bit.
+DYM_DU_DRIFT = 1e-12
+
+
+@pytest.mark.parametrize("controller", ["nc_fixed", "pid"])
+def test_baseline_trace_matches_the_per_step_dym_du_loop(controller):
+    """2.5 s of sine.json: full blocks of the post-pass and a ragged last one."""
+    cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
+                              duration_s=2.5, controller=controller)
+    net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
+    got = harness.run_scenario(cfg, net)[0].data
+    ref = _ref_baseline_run(cfg, net)
+    j = harness.TRACE_COLUMNS.index("dym_du")
+    rest = [i for i in range(len(harness.TRACE_COLUMNS)) if i != j]
+    assert got[:, rest].tobytes() == ref[:, rest].tobytes()
+    scale = float(np.max(np.abs(ref[:, j])))
+    assert scale > 0.0
+    assert float(np.max(np.abs(got[:, j] - ref[:, j]))) <= DYM_DU_DRIFT * scale
