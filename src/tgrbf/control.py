@@ -47,11 +47,9 @@ class GainState:
             raise ValueError("gain bounds need k_min <= k_max")
 
 
-def control_law(e: float, k1: float, k2: float, alpha_pow: float,
-                u_limit: float) -> float:
-    """u = k1*e + k2*sig_alpha(e), clamped to the actuator limit."""
-    u = k1 * e + k2 * sig_alpha(e, alpha_pow)
-    return min(max(u, -u_limit), u_limit)
+def control_law(e: float, k1: float, k2: float, alpha_pow: float) -> float:
+    """u = k1*e + k2*sig_alpha(e), before the actuator limit."""
+    return k1 * e + k2 * sig_alpha(e, alpha_pow)
 
 
 def adapt_gains(g: GainState, k1: float, k2: float, e: float,
@@ -83,13 +81,12 @@ class PidState:
 
 
 def pid_step(p: PidState, e: float, e_prev: float, integral: float,
-             Ts: float, u_limit: float) -> tuple[float, float]:
+             Ts: float) -> tuple[float, float]:
     """Textbook discrete PID with clamped integral and backward-difference
-    derivative, from the caller's run state; returns (u, the new integral)."""
+    derivative, from the caller's run state; returns (u before the actuator
+    limit, the new integral)."""
     if Ts <= 0.0:
         raise ValueError("Ts must be positive")
     integral = integral + e * Ts
     integral = min(max(integral, -p.integral_limit), p.integral_limit)
-    u = p.kp * e + p.ki * integral + p.kd * (e - e_prev) / Ts
-    u = min(max(u, -u_limit), u_limit)
-    return u, integral
+    return p.kp * e + p.ki * integral + p.kd * (e - e_prev) / Ts, integral

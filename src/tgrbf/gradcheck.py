@@ -55,42 +55,38 @@ def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
     return g * y_rbf + (1.0 - g) * y_gru
 
 
-def _perturbed(base: np.ndarray, step: float) -> np.ndarray:
-    """The copies base + step*e_i, then base - step*e_i, for every element
-    i, stacked on a trailing axis of length 2*size."""
-    e = step * np.eye(base.size)
-    flat = base.reshape(-1, 1)
-    return np.hstack([flat + e, flat - e]).reshape(base.shape + (-1,))
+def _central_difference(base: np.ndarray, value) -> np.ndarray:
+    """Central finite differences of value at the flat vector base.  The 2N
+    copies base + FD_STEP*e_i, then base - FD_STEP*e_i, go to value as the
+    columns of (N, cols) blocks of at most FD_BLOCK_BYTES; value gives the
+    output of each column."""
+    N = base.size
+    cols = max(1, FD_BLOCK_BYTES // (base.itemsize * N))
+    y, buf = np.empty(2 * N), np.empty((N, min(cols, 2 * N)))
+    for a in range(0, 2 * N, cols):
+        i = np.arange(a, min(a + cols, 2 * N))
+        block = buf[:, :i.size]   # one block's memory, refilled
+        block[...] = base[:, None]
+        block[i % N, np.arange(i.size)] += np.where(i < N, FD_STEP, -FD_STEP)
+        y[i] = value(block)
+    return (y[:N] - y[N:]) / (2.0 * FD_STEP)
 
 
 def fd_jacobian_params(net: TgrbfNet, x, h_prev) -> np.ndarray:
     """Central finite differences of y with respect to the flat parameter
-    vector, holding h_prev fixed (same truncation as the analytic path).
-    The 2P copies W + FD_STEP*e_i, then W - FD_STEP*e_i, go through the
-    oracle as the columns of (P, cols) blocks of at most FD_BLOCK_BYTES."""
-    x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
-    W, layout = net.theta, net.layout()
-    P = W.size
-    cols = max(1, FD_BLOCK_BYTES // (W.itemsize * P))
-    y, buf = np.empty(2 * P), np.empty((P, min(cols, 2 * P)))
-    for a in range(0, 2 * P, cols):
-        i = np.arange(a, min(a + cols, 2 * P))
-        block = buf[:, :i.size]   # one block's memory, refilled
-        block[...] = W[:, None]
-        block[i % P, np.arange(i.size)] += np.where(i < P, FD_STEP, -FD_STEP)
-        y[i] = _value_only({name: block[off:off + size].reshape(
-                                getattr(net, name).shape + (i.size,))
-                            for name, off, size in layout},
-                           x[:, None], h_prev[:, None], net.gate_frozen)
-    return (y[:P] - y[P:]) / (2.0 * FD_STEP)
+    vector, holding h_prev fixed (same truncation as the analytic path)."""
+    x = np.asarray(x, dtype=float)[:, None]
+    h_prev = np.asarray(h_prev, dtype=float)[:, None]
+    return _central_difference(net.theta, lambda block: _value_only(
+        {name: block[off:off + size].reshape(getattr(net, name).shape + (-1,))
+         for name, off, size in net.layout()}, x, h_prev, net.gate_frozen))
 
 
 def fd_jacobian_input(net: TgrbfNet, x, h_prev) -> np.ndarray:
     prm = {name: getattr(net, name)[..., None] for name, _, _ in net.layout()}
-    xs = _perturbed(np.asarray(x, dtype=float), FD_STEP)
     h_prev = np.asarray(h_prev, dtype=float)[:, None]
-    yp, ym = np.split(_value_only(prm, xs, h_prev, net.gate_frozen), 2)
-    return (yp - ym) / (2.0 * FD_STEP)
+    return _central_difference(np.asarray(x, dtype=float), lambda xs: _value_only(
+        prm, xs, h_prev, net.gate_frozen))
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

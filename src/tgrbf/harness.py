@@ -34,6 +34,7 @@ TRACE_COLUMNS = ["t", "r", "y", "e", "u", "y_pred", "k1", "k2", "dym_du",
 
 CONTROLLER_TYPES = ("tgrbf_nc", "nc_fixed", "pid")
 _DYM_DU_ROWS = 256   # steps per batched pass of the baselines' dy/du: a fixed peak
+_DYM_DU = TRACE_COLUMNS.index("dym_du")
 
 
 class RunAborted(RuntimeError):
@@ -193,7 +194,6 @@ def run_scenario(cfg: ScenarioConfig,
 
     noise = np.random.Generator(np.random.PCG64(cfg.seed))
     opt_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
-    opt = None
     if adaptive:
         buf = ExperienceBuffer(cfg.buffer_capacity, net.n_in, net.p)
         opt = OnlineOptimizer(net, buf, cfg.trigger, opt_rng)
@@ -206,7 +206,8 @@ def run_scenario(cfg: ScenarioConfig,
     history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
     data = np.zeros((n, len(TRACE_COLUMNS)))
-    zeta = np.empty((n, net.n_in + net.p)) if net is not None and not adaptive else None
+    # the baselines' [x, h_prev] rows since their last dy/du pass
+    zeta = np.empty((_DYM_DU_ROWS, net.n_in + net.p)) if net is not None and not adaptive else None
 
     for k in range(n):
         t = k * cfg.plant.Ts
@@ -214,7 +215,7 @@ def run_scenario(cfg: ScenarioConfig,
         y = pl.output(state, cfg.plant)
         if abs(y) > 1e6:
             raise RunAborted(f"output diverged at step {k}: y = {y}")
-        if opt is not None:
+        if adaptive:
             # an earlier update's waiting stage runs before the network
             # predicts again: the last trigger's step, or the replay after it
             opt.settle()
@@ -228,18 +229,20 @@ def run_scenario(cfg: ScenarioConfig,
             g_val = trace.g
             if adaptive:
                 dym_du = float(net.jacobian_input(trace)[0])
-            else:   # the baselines' dy/du is filled after the loop
-                zeta[k] = trace.zeta   # [x, h_prev]
+            else:   # the baselines' dy/du is filled per block, below
+                j = k % _DYM_DU_ROWS
+                zeta[j] = trace.zeta
             e_pred = y - y_pred
 
         if cfg.controller == "pid":
-            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral,
-                                       cfg.plant.Ts, cfg.u_limit)
+            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral, cfg.plant.Ts)
             e_prev = e
         else:
-            u = ctl.control_law(e, k1, k2, gains.alpha_pow, cfg.u_limit)
+            u = ctl.control_law(e, k1, k2, gains.alpha_pow)
+        # the actuator limit, as a conditional: min(max()) costs 5x per step
+        u = cfg.u_limit if u > cfg.u_limit else -cfg.u_limit if u < -cfg.u_limit else u
 
-        if opt is not None:
+        if adaptive:
             opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(e_pred))
             opt.maybe_update(k, e_pred)
             k1, k2 = ctl.adapt_gains(gains, k1, k2, e, dym_du)
@@ -248,24 +251,23 @@ def run_scenario(cfg: ScenarioConfig,
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, k1, k2, dym_du, g_val, 0.0, 0.0)
         history.u[:-1], history.u[-1] = history.u[1:], u
+        if zeta is not None and (j == _DYM_DU_ROWS - 1 or k == n - 1):
+            # a full block, or the last: one batched pass fills its dy/du
+            x, h = np.hsplit(zeta[:j + 1], [net.n_in])
+            data[k - j:k + 1, _DYM_DU] = net.jacobian_input(net.forward(x, h_prev=h)[1])[:, 0]
 
-    if opt is not None:
+    if adaptive:
         opt.settle()   # the last update's step
         opt.settle()   # and its loss_after replay
         for ev in opt.events:   # the update log fills the update columns
             data[ev.k, TRACE_COLUMNS.index("triggered")] = 1.0
             data[ev.k, TRACE_COLUMNS.index("eta")] = ev.eta
-    elif net is not None:   # the baselines' dy/du, one batched pass per block
-        for i in range(0, n, _DYM_DU_ROWS):
-            x, h = np.hsplit(zeta[i:i + _DYM_DU_ROWS], [net.n_in])
-            trace = net.forward(x, h_prev=h)[1]
-            data[i:i + len(x), TRACE_COLUMNS.index("dym_du")] = net.jacobian_input(trace)[:, 0]
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,
                   "version": __version__, "rng": "numpy.PCG64",
                   "controller": cfg.controller},
-        events=opt.events if opt is not None else [],
+        events=opt.events if adaptive else [],
     )
     metrics = compute_metrics(trace, cfg.reference, cfg.plant.Ts)
     if net is None:

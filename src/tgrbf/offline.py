@@ -223,9 +223,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
             X_c, targets_c = chunks[ci]
             y_hat, trace = net.forward(X_c, h_prev=_hidden_states(net, X_c))
             F, J = targets_c - y_hat, -net.jacobian_params(trace)   # J = dF/dW
-            JtF = J.T @ F
-            grad = JtF / len(F)
-            eta, degenerate = explicit_step_size(F, J, JtF)
+            grad, eta, degenerate = explicit_step_size(F, J)
             eta = min(ETA_MAX, 1.0) if degenerate else min(eta, ETA_MAX)
             if momentum_update(net.theta, W_prev, grad, eta, MOMENTUM):
                 # keep kernel widths above the positivity floor

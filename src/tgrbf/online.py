@@ -142,16 +142,16 @@ def residuals_and_jacobian(net, X: np.ndarray, H: np.ndarray,
     return targets - y_hat, np.negative(J, out=J)
 
 
-def explicit_step_size(F: np.ndarray, J: np.ndarray,
-                       JtF: np.ndarray) -> tuple[float, bool]:
-    """Closed-form step size from F, J and the gradient's J'F; returns (eta,
-    degenerate).  Degenerate means the denominator v'v is numerically zero
-    and a fallback must be used."""
+def explicit_step_size(F: np.ndarray,
+                       J: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The gradient J'F / s of the batch loss and the closed-form step size;
+    returns (grad, eta, degenerate).  Degenerate means the denominator v'v
+    is numerically zero and a fallback must be used."""
+    JtF = J.T @ F
     v = J @ JtF
     vv = float(v @ v)
-    if vv < _DEGENERATE_TOL * (1.0 + float(F @ F)):
-        return 0.0, True
-    return float(v @ F) / vv, False
+    degenerate = vv < _DEGENERATE_TOL * (1.0 + float(F @ F))
+    return JtF / len(F), 0.0 if degenerate else float(v @ F) / vv, degenerate
 
 
 def step_size_safeguard(eta: float, J: np.ndarray, alpha: float,
@@ -234,10 +234,8 @@ class OnlineOptimizer:
             return None
         event, X, H, targets, F, J = self._pending
         self._pending = None
-        JtF = J.T @ F
-        grad = JtF / len(F)
+        grad, event.eta_explicit, degenerate = explicit_step_size(F, J)
         event.grad_norm = math.sqrt(float(grad @ grad))
-        event.eta_explicit, degenerate = explicit_step_size(F, J, JtF)
         alpha = self.cfg.momentum_alpha
         eta0 = self.cfg.eta_max if degenerate else event.eta_explicit
         eta, hit, event.sigma_min, event.sigma_max = step_size_safeguard(

@@ -83,10 +83,10 @@ def test_criterion_02_scalar_newton_property():
         w = rng.normal()
         F = np.array([b - a * w])
         J = np.array([[-a]])
-        eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
+        grad, eta, degenerate = online.explicit_step_size(F, J)
         assert not degenerate
         W = np.array([w])
-        assert online.momentum_update(W, W.copy(), J.T @ F, eta, 0.0)
+        assert online.momentum_update(W, W.copy(), grad, eta, 0.0)
         worst = max(worst, abs(b - a * float(W[0])))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 1.0

@@ -25,19 +25,14 @@ def test_sig_alpha_validation():
 
 
 def test_control_law_hand_value():
-    assert ctl.control_law(1.0, 1.5, 0.8, 0.7, 10.0) == pytest.approx(2.3)
+    assert ctl.control_law(1.0, 1.5, 0.8, 0.7) == pytest.approx(2.3)
 
 
 def test_control_law_zero_and_odd():
-    assert ctl.control_law(0.0, 1.5, 0.8, 0.7, 10.0) == 0.0
+    assert ctl.control_law(0.0, 1.5, 0.8, 0.7) == 0.0
     for e in (0.2, 1.7):
-        assert ctl.control_law(-e, 1.5, 0.8, 0.7, 10.0) == pytest.approx(
-            -ctl.control_law(e, 1.5, 0.8, 0.7, 10.0))
-
-
-def test_control_law_actuator_clamp():
-    assert ctl.control_law(5.0, 50.0, 50.0, 0.5, u_limit=10.0) == 10.0
-    assert ctl.control_law(-5.0, 50.0, 50.0, 0.5, u_limit=10.0) == -10.0
+        assert ctl.control_law(-e, 1.5, 0.8, 0.7) == pytest.approx(
+            -ctl.control_law(e, 1.5, 0.8, 0.7))
 
 
 def test_gain_state_validation():
@@ -93,12 +88,12 @@ def test_adapt_gains_skips_nonfinite_sensitivity():
 
 def test_pid_pure_proportional():
     p = ctl.PidState(kp=2.0)
-    u, integral = ctl.pid_step(p, 1.5, 0.0, 0.0, 0.001, 10.0)
+    u, integral = ctl.pid_step(p, 1.5, 0.0, 0.0, 0.001)
     assert u == pytest.approx(3.0)
     assert integral == pytest.approx(1.5 * 0.001)
     # the derivative term reads the caller's e_prev
     p = ctl.PidState(kp=0.0, kd=0.5)
-    u, _ = ctl.pid_step(p, 1.5, 1.0, 0.0, 0.001, 1000.0)
+    u, _ = ctl.pid_step(p, 1.5, 1.0, 0.0, 0.001)
     assert u == pytest.approx(0.5 * (1.5 - 1.0) / 0.001)
 
 
@@ -107,14 +102,14 @@ def test_pid_integral_accumulation():
     Ts, N = 0.01, 50
     integral = 0.0
     for _ in range(N):
-        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, Ts, u_limit=100.0)
+        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, Ts)
     assert u == pytest.approx(N * Ts)
     assert integral == pytest.approx(N * Ts)
 
 
 def test_pid_zero_error_zero_output():
     u, integral = ctl.pid_step(ctl.PidState(kp=3.0, ki=2.0, kd=1.0), 0.0, 0.0,
-                               0.0, 0.001, 10.0)
+                               0.0, 0.001)
     assert u == 0.0 and integral == 0.0
 
 
@@ -122,14 +117,14 @@ def test_pid_anti_windup_clamp():
     p = ctl.PidState(kp=0.0, ki=1.0, integral_limit=0.05)
     integral = 0.0
     for _ in range(200):
-        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, 0.01, u_limit=100.0)
+        u, integral = ctl.pid_step(p, 1.0, 1.0, integral, 0.01)
     assert integral == 0.05
     assert u == pytest.approx(0.05)
 
 
 def test_pid_validation():
     with pytest.raises(ValueError):
-        ctl.pid_step(ctl.PidState(), 1.0, 0.0, 0.0, 0.0, 10.0)
+        ctl.pid_step(ctl.PidState(), 1.0, 0.0, 0.0, 0.0)
 
 
 def tune_pid_relay_zn(params: pl.PlantParams, Ts: float,

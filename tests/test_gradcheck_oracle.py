@@ -7,8 +7,9 @@ perturbed element, on a copy of the network, whose segments (the 0-d
 biases too) are views of its parameter vector and so can be perturbed in
 place; and the per-segment oracle, one call per parameter segment.  The
 tests check that the blocked oracle agrees with both, that its blocks and
-peak memory stay within the block budget, that it never calls the network
-kernel it audits, and that the audit still catches a wrong Jacobian.
+peak memory stay within the block budget, that both oracles lay out the
+perturbed copies of the scalar loop, that it never calls the network kernel
+it audits, and that the audit still catches a wrong Jacobian.
 """
 
 import math
@@ -100,12 +101,20 @@ def _ref_fd_input(net, x, h_prev, step=FD_STEP):
     return out
 
 
+def _perturbed(base, step):
+    """The copies base + step*e_i, then base - step*e_i, for every element
+    i, stacked on a trailing axis of length 2*size."""
+    e = step * np.eye(base.size)
+    flat = base.reshape(-1, 1)
+    return np.hstack([flat + e, flat - e]).reshape(base.shape + (-1,))
+
+
 def _per_segment_fd_params(net, x, h_prev, step=FD_STEP):
     """One oracle call per parameter segment, over all of its copies."""
     prm = _params(net)
     out = []
     for name, _ in _SEGMENTS:
-        cols = gradcheck._perturbed(getattr(net, name), step)
+        cols = _perturbed(getattr(net, name), step)
         yp, ym = np.split(gradcheck._value_only(
             {**prm, name: cols}, x[:, None], h_prev[:, None],
             net.gate_frozen), 2)
@@ -197,18 +206,49 @@ def test_batched_values_match_scalar_reference_per_perturbation():
     for net, x, h_prev in _cases(21, 30):
         prm = _params(net)
         for name, _ in _SEGMENTS:
-            cols = gradcheck._perturbed(getattr(net, name), FD_STEP)
+            cols = _perturbed(getattr(net, name), FD_STEP)
             ref_rows, ref_values = _ref_segment(net, name, x, h_prev)
             # the perturbed parameters are those of the scalar loop, exactly
             assert np.array_equal(cols.reshape(-1, cols.shape[-1]).T, ref_rows)
             values = gradcheck._value_only({**prm, name: cols}, x[:, None],
                                            h_prev[:, None], net.gate_frozen)
             assert _rel(values, ref_values) <= VALUE_TOL
-        xs = gradcheck._perturbed(x, FD_STEP)
+        xs = _perturbed(x, FD_STEP)
         values = gradcheck._value_only(prm, xs, h_prev[:, None],
                                        net.gate_frozen)
         ref_values = [_ref_value(net, xi, h_prev) for xi in xs.T]
         assert _rel(values, ref_values) <= VALUE_TOL
+
+
+@pytest.mark.parametrize("rows", ["one block", "one row over", "one row"])
+def test_both_oracles_lay_out_the_copies_of_the_scalar_loop(monkeypatch, rows):
+    """fd_jacobian_params and fd_jacobian_input hand the oracle the same
+    copies, column for column, as the scalar loop perturbs: + for every
+    element, then - for every element, split into blocks by the budget."""
+    blocks = []
+    oracle = gradcheck._value_only
+
+    def recorded(prm, x, h_prev, gate_frozen):
+        # copies: the oracle refills one block's memory
+        cols = len(np.atleast_1d(prm["out_b"]))
+        blocks.append((np.concatenate([np.reshape(prm[name], (-1, cols))
+                                       for name, _ in _SEGMENTS]), x.copy()))
+        return oracle(prm, x, h_prev, gate_frozen)
+
+    monkeypatch.setattr(gradcheck, "_value_only", recorded)
+    for net, x, h_prev in _cases(27, 10):
+        P = net.theta.size
+        budget = {"one block": 2 * P * 8 * P,
+                  "one row over": (2 * P - 1) * 8 * P, "one row": 1}[rows]
+        monkeypatch.setattr(gradcheck, "FD_BLOCK_BYTES", budget)
+        blocks.clear()
+        fd_jacobian_params(net, x, h_prev)
+        theta = np.hstack([b for b, _ in blocks])
+        assert np.array_equal(theta, _perturbed(net.theta, FD_STEP))
+        blocks.clear()
+        fd_jacobian_input(net, x, h_prev)
+        assert np.array_equal(np.hstack([xs for _, xs in blocks]),
+                              _perturbed(x, FD_STEP))
 
 
 def test_unperturbed_value_matches_forward():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -211,11 +212,42 @@ def test_adaptive_gains_are_run_state_from_the_configured_gains():
     assert cfg.gains == k0
     g, k1, k2 = cfg.gains, cfg.gains.k1, cfg.gains.k2
     for i, (e, dym_du) in enumerate(zip(trace.col("e"), trace.col("dym_du"))):
-        assert trace.col("u")[i] == ctl.control_law(e, k1, k2, g.alpha_pow,
-                                                    cfg.u_limit)
+        u = ctl.control_law(e, k1, k2, g.alpha_pow)
+        assert trace.col("u")[i] == min(max(u, -cfg.u_limit), cfg.u_limit)
         k1, k2 = ctl.adapt_gains(g, k1, k2, e, dym_du)
         assert (trace.col("k1")[i], trace.col("k2")[i]) == (k1, k2)
     assert k1 != k0.k1 and k2 != k0.k2   # the gains moved
+
+
+def test_the_loop_applies_the_actuator_limit_to_every_controller(monkeypatch):
+    """control_law and pid_step return the law's value; the run loop clamps
+    it to +-u_limit, once, whichever law ran.  sine.json at u_limit 2
+    saturates every controller both ways."""
+    import tgrbf.control as ctl
+    laws = []
+    control_law, pid_step = ctl.control_law, ctl.pid_step
+
+    def recorded_law(*args):
+        laws.append(control_law(*args))
+        return laws[-1]
+
+    def recorded_pid(*args):
+        u, integral = pid_step(*args)
+        laws.append(u)
+        return u, integral
+
+    monkeypatch.setattr(ctl, "control_law", recorded_law)
+    monkeypatch.setattr(ctl, "pid_step", recorded_pid)
+    cfg = harness.load_config(ROOT / "configs" / "sine.json")
+    cfg.checkpoint, cfg.u_limit = str(ROOT / cfg.checkpoint), 2.0
+    for controller in harness.CONTROLLER_TYPES:
+        laws.clear()
+        trace, _ = harness.run_scenario(dataclasses.replace(cfg, controller=controller))
+        u, law = trace.col("u"), np.array(laws)
+        assert len(law) == len(u)
+        assert np.array_equal(u, np.clip(law, -2.0, 2.0)), controller
+        assert np.max(law) > 2.0 and np.min(law) < -2.0, controller
+        assert 2.0 in u and -2.0 in u, controller
 
 
 # -- export ------------------------------------------------------------------

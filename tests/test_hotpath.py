@@ -197,11 +197,11 @@ def _ref_baseline_run(cfg, net):
         y_pred, trace = net.advance(history.regressor(deploy=True)[0][-1])
         dym_du = float(net.jacobian_input(trace)[0])
         if cfg.controller == "pid":
-            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral,
-                                       cfg.plant.Ts, cfg.u_limit)
+            u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral, cfg.plant.Ts)
             e_prev = e
         else:
-            u = ctl.control_law(e, gains.k1, gains.k2, gains.alpha_pow, cfg.u_limit)
+            u = ctl.control_law(e, gains.k1, gains.k2, gains.alpha_pow)
+        u = min(max(u, -cfg.u_limit), cfg.u_limit)
         d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, gains.k1, gains.k2, dym_du, trace.g,
@@ -624,7 +624,8 @@ DYM_DU_DRIFT = 1e-12
 
 @pytest.mark.parametrize("controller", ["nc_fixed", "pid"])
 def test_baseline_trace_matches_the_per_step_dym_du_loop(controller):
-    """2.5 s of sine.json: full blocks of the post-pass and a ragged last one."""
+    """2.5 s of sine.json: full blocks of the per-block pass and a ragged
+    last one."""
     cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
                               duration_s=2.5, controller=controller)
     net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
@@ -636,3 +637,32 @@ def test_baseline_trace_matches_the_per_step_dym_du_loop(controller):
     scale = float(np.max(np.abs(ref[:, j])))
     assert scale > 0.0
     assert float(np.max(np.abs(got[:, j] - ref[:, j]))) <= DYM_DU_DRIFT * scale
+
+
+def test_baseline_dym_du_record_does_not_grow_with_duration(monkeypatch):
+    """The [x, h_prev] rows a baseline keeps for its batched dy/du pass take
+    the same memory in a 0.6 s and a 2.4 s run.  Seen at each pass (the one
+    jacobian_input call of a baseline run): what harness.py holds, less the
+    trace itself, 12 doubles a step.  A record of every step would add
+    72 bytes a step, 130 kB here."""
+    jacobian_input, held = TgrbfNet.jacobian_input, []
+
+    def seen(self, trace):
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, harness.__file__)])
+        held[-1] = max(held[-1], sum(st.size for st in snap.statistics("filename")))
+        return jacobian_input(self, trace)
+
+    monkeypatch.setattr(TgrbfNet, "jacobian_input", seen)
+    net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
+    for duration in (0.6, 2.4):
+        cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
+                                  duration_s=duration, controller="nc_fixed")
+        held.append(0)
+        tracemalloc.start()
+        try:
+            harness.run_scenario(cfg, net)
+        finally:
+            tracemalloc.stop()
+        held[-1] -= cfg.n_steps * len(harness.TRACE_COLUMNS) * 8
+    assert held[0] > 0 and held[1] - held[0] < 1024, held

@@ -122,7 +122,7 @@ def _ref_train(net, data, epochs, chunk_len=32, momentum=0.2, seed=0,
             F, J = _ref_chunk_pass(net, chunks[ci], with_jacobian=True)
             JtF = J.T @ F
             grad = JtF / len(chunks[ci])
-            eta, degenerate = explicit_step_size(F, J, JtF)
+            _, eta, degenerate = explicit_step_size(F, J)
             if degenerate:
                 eta = min(eta_max, 1.0)
             eta = min(eta, eta_max)

@@ -187,18 +187,53 @@ def test_sample_batch_seeded_reproducible():
 
 def test_explicit_step_size_hand_values():
     F, J = np.array([2.0]), np.array([[1.0, 0.0]])
-    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
+    grad, eta, degenerate = online.explicit_step_size(F, J)
+    assert grad.tolist() == [2.0, 0.0]
     assert (eta, degenerate) == (1.0, False)
     F, J = np.array([1.0]), np.array([[2.0, 0.0]])
-    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
+    grad, eta, degenerate = online.explicit_step_size(F, J)
+    assert grad.tolist() == [2.0, 0.0]
     assert eta == pytest.approx(0.25)
+    assert not degenerate
+    F, J = np.array([1.0, 1.0]), np.array([[2.0, 0.0], [2.0, 0.0]])
+    grad, eta, degenerate = online.explicit_step_size(F, J)
+    assert grad.tolist() == [2.0, 0.0]   # J'F over the batch size
+    assert eta == pytest.approx(0.125)
     assert not degenerate
 
 
 def test_explicit_step_size_degenerate():
     F, J = np.array([1.0]), np.zeros((1, 2))
-    eta, degenerate = online.explicit_step_size(F, J, J.T @ F)
-    assert degenerate
+    grad, eta, degenerate = online.explicit_step_size(F, J)
+    assert degenerate and eta == 0.0 and grad.tolist() == [0.0, 0.0]
+
+
+def test_explicit_step_size_matches_the_written_out_rule():
+    """On random (F, J), degenerate ones among them, grad is J'F / s bit for
+    bit, and eta and the flag are those of v = J(J'F), eta = v'F / v'v,
+    degenerate when v'v < 1e-12 (1 + F'F)."""
+    rng = np.random.Generator(np.random.PCG64(28))
+    kinds = []
+    for k in range(300):
+        s, n = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        J = rng.normal(size=(s, n)) * 10.0 ** rng.uniform(-8, 2)
+        F = rng.normal(size=s)
+        if k % 3 == 1:
+            J[:] = 0.0
+        elif k % 3 == 2 and s > n:
+            # F orthogonal to J's columns: J'F is rounding noise
+            q = np.linalg.qr(J)[0]
+            F = F - q @ (q.T @ F)
+        grad, eta, degenerate = online.explicit_step_size(F, J)
+        JtF = J.T @ F
+        assert np.array_equal(grad, JtF / len(F))
+        v = J @ JtF
+        vv = float(v @ v)
+        want_degenerate = vv < 1e-12 * (1.0 + float(F @ F))
+        assert degenerate == want_degenerate
+        assert eta == (0.0 if want_degenerate else float(v @ F) / vv)
+        kinds.append(degenerate)
+    assert 0 < sum(kinds) < len(kinds)   # both branches ran
 
 
 # -- safeguard ---------------------------------------------------------------
@@ -255,8 +290,7 @@ def test_scalar_newton_property_single_case():
     a, b, w = 1.7, -0.9, 0.4
     F = np.array([b - a * w])
     J = np.array([[-a]])
-    grad = J.T @ F
-    eta, _ = online.explicit_step_size(F, J, grad)
+    grad, eta, _ = online.explicit_step_size(F, J)
     W = np.array([w])
     assert online.momentum_update(W, W.copy(), grad, eta, 0.0)
     assert abs(b - a * W[0]) < 1e-10
@@ -271,9 +305,7 @@ def test_linear_residual_loss_never_increases():
         w = rng.normal(size=n)
         F = b - A @ w
         J = -A
-        JtF = J.T @ F
-        grad = JtF / s
-        eta, degenerate = online.explicit_step_size(F, J, JtF)
+        grad, eta, degenerate = online.explicit_step_size(F, J)
         if degenerate:
             continue
         w2 = w - eta * grad
