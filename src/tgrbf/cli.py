@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation failure, 3 aborted run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,27 +26,14 @@ EXIT_OK, EXIT_VALIDATION, EXIT_ABORTED = 0, 2, 3
 
 def cmd_identify(args) -> int:
     with open(args.config) as fh:
-        doc = harness._check_keys("identify", json.load(fh), dict.fromkeys(
-            ("n_samples", "epochs", "m", "p", "seed"), "whole number"))
-    n = int(doc.get("n_samples", 1000))
-    epochs = int(doc.get("epochs", 200))
-    m = int(doc.get("m", 6))
-    p = int(doc.get("p", 6))
-    seed = int(doc.get("seed", 0))
-    for key, value, low in (("epochs", epochs, 0), ("m", m, 1), ("p", p, 1),
-                            ("seed", seed, 0)):
-        if value < low:
-            raise ValueError(f"'identify.{key}' must be >= {low}, got {value}")
+        cfg = offline.IdentifyConfig.from_dict(json.load(fh))
     if args.seed is not None:
-        seed = args.seed
-    if round(offline.HOLDOUT_FRAC * n) < 1:
-        raise ValueError(f"'identify.n_samples' must leave a holdout row (the "
-                         f"last {offline.HOLDOUT_FRAC:g} of the rows), got {n}")
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
 
-    data = offline.generate_dataset(n, seed=seed)
-    net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
-    net, report = offline.train_offline(net0, data, epochs=epochs, seed=seed)
+    data = offline.generate_dataset(cfg.n_samples, seed=cfg.seed)
+    net0 = offline.initialize_network(data, m=cfg.m, p=cfg.p, seed=cfg.seed)
+    net, report = offline.train_offline(net0, data, epochs=cfg.epochs, seed=cfg.seed)
 
     ckpt = os.path.join(args.out, "network.json")
     net.save(ckpt)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "GainState", "PidState", "sig_alpha", "control_law", "adapt_gains",
-    "pid_step",
+    "FixedGains", "GainState", "PidState", "sig_alpha", "control_law",
+    "adapt_gains", "pid_step",
 ]
 
 
@@ -28,11 +28,20 @@ def sig_alpha(e: float, a: float) -> float:
 
 
 @dataclass
-class GainState:
-    """The adaptive law's configuration; k1, k2 are the starting gains k0."""
+class FixedGains:
+    """The control law's gains: all the fixed-gain baseline reads."""
     k1: float = 2.0
     k2: float = 3.0
     alpha_pow: float = 0.7
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha_pow < 1.0):
+            raise ValueError("alpha_pow must be in (0, 1)")
+
+
+@dataclass
+class GainState(FixedGains):
+    """The adaptive law's configuration; k1, k2 are the starting gains k0."""
     eta1: float = 0.5
     eta2: float = 0.5
     k1_min: float = 0.01
@@ -41,8 +50,7 @@ class GainState:
     k2_max: float = 50.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_pow < 1.0):
-            raise ValueError("alpha_pow must be in (0, 1)")
+        super().__post_init__()
         if self.k1_min > self.k1_max or self.k2_min > self.k2_max:
             raise ValueError("gain bounds need k_min <= k_max")
 

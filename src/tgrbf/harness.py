@@ -48,7 +48,7 @@ class ScenarioConfig:
     reference: pl.ReferenceSpec = field(default_factory=pl.ReferenceSpec)
     controller: str = "tgrbf_nc"
     gains: ctl.GainState = field(default_factory=ctl.GainState)
-    nc_gains: ctl.GainState | None = None   # fixed-gain baseline tuning
+    nc_gains: ctl.FixedGains | None = None   # fixed-gain baseline tuning
     pid: ctl.PidState = field(default_factory=ctl.PidState)
     u_limit: float = 10.0
     checkpoint: str | None = None
@@ -88,7 +88,7 @@ class ScenarioConfig:
 # config section -> the dataclass it builds; "trigger" sits inside "network"
 _SECTIONS = {"plant": pl.PlantParams, "disturbance": pl.DisturbanceSpec,
              "reference": pl.ReferenceSpec, "gains": ctl.GainState,
-             "nc_gains": ctl.GainState, "pid": ctl.PidState,
+             "nc_gains": ctl.FixedGains, "pid": ctl.PidState,
              "trigger": TriggerConfig}
 
 

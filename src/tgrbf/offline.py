@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .network import TgrbfNet, lgru_step
 from .online import explicit_step_size, momentum_update
 
 __all__ = [
-    "Dataset", "FitReport",
+    "IdentifyConfig", "Dataset", "FitReport",
     "excitation_signal", "generate_dataset", "initialize_network",
     "train_offline", "evaluate_teacher", "evaluate_deploy", "fit_metrics",
     "dataset_to_csv", "dataset_from_csv",
@@ -34,6 +34,35 @@ RIDGE, CHUNK_LEN, MOMENTUM, ETA_MAX = 1e-6, 32, 0.2, 10.0
 HISTORY_LEN = 1   # the closed loop keeps this many inputs and one more output
 _CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
 _EXPORT_ROWS = 64   # CSV rows per string operation; more saves no time, costs memory
+
+
+@dataclass
+class IdentifyConfig:
+    """`tgrbf identify`'s settable values: the sample count, the gradient
+    stage's epochs, the network's m RBF nodes and p hidden units, the seed."""
+    n_samples: int = 1000
+    epochs: int = 200
+    m: int = 6
+    p: int = 6
+    seed: int = 0
+
+    @classmethod
+    def from_dict(cls, doc) -> IdentifyConfig:
+        """The config an `identify` JSON document sets: its keys are fields,
+        each value a whole number."""
+        from .harness import _check_keys   # harness imports this module
+        _check_keys("identify", doc, dict.fromkeys(
+            (f.name for f in fields(cls)), "whole number"))
+        return cls(**{key: int(value) for key, value in doc.items()})
+
+    def __post_init__(self):
+        for key, low in (("epochs", 0), ("m", 1), ("p", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"'identify.{key}' must be >= {low}, "
+                                 f"got {getattr(self, key)}")
+        if round(HOLDOUT_FRAC * self.n_samples) < 1:
+            raise ValueError(f"'identify.n_samples' must leave a holdout row (the "
+                             f"last {HOLDOUT_FRAC:g} of the rows), got {self.n_samples}")
 
 
 @dataclass

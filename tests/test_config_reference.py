@@ -5,9 +5,12 @@ build each section in its own `if` block; it now takes the keys from the
 dataclass fields.  The network's checkpoint loader and parameter count used
 to name all 13 segments by hand; they now follow `_SEGMENTS`.  These tests
 keep the earlier code and require the same accepted keys (less
-`disturbance.seed`, deleted because the run seed always overrode it, and
-`controller.control_sign`, deleted because no config set it), the same
-parsed configs and the same bytes.
+`disturbance.seed`, deleted because the run seed always overrode it,
+`controller.control_sign`, deleted because no config set it, and the
+adaptive law's `eta1`, `eta2` and gain bounds under `nc_gains`, deleted
+because the fixed-gain baseline never adapts), the same parsed configs and
+the same bytes.  The kept parser builds `nc_gains` as a `GainState`; it is
+compared through the `FixedGains` fields, all that `nc_fixed` reads.
 """
 
 import dataclasses
@@ -114,9 +117,7 @@ FULL = {
     "gains": {"k1": 1.5, "k2": 2.5, "alpha_pow": 0.6, "eta1": 0.1,
               "eta2": 0.2, "k1_min": 0.05, "k1_max": 40.0, "k2_min": 0.02,
               "k2_max": 30.0},
-    "nc_gains": {"k1": 3.5, "k2": 1.5, "alpha_pow": 0.4, "eta1": 0.0,
-                 "eta2": 0.0, "k1_min": 0.1, "k1_max": 20.0, "k2_min": 0.2,
-                 "k2_max": 10.0},
+    "nc_gains": {"k1": 3.5, "k2": 1.5, "alpha_pow": 0.4},
     "pid": {"kp": 3.0, "ki": 0.5, "kd": 0.01, "integral_limit": 50.0},
     "network": {"checkpoint": "artifacts/network.json",
                 "buffer_capacity": 500.0,
@@ -172,9 +173,12 @@ def test_every_section_accepts_the_same_keys(section):
     old = {k for k in _CANDIDATES if _accepts(_ref_config_from_dict, path, k)}
     new = {k for k in _CANDIDATES if _accepts(harness.config_from_dict, path, k)}
     assert old == _REF_SCHEMA["gains" if section == "nc_gains" else section]
-    # disturbance.seed never changed a run (the run seed overrode it) and
-    # controller.control_sign was never set; neither is a key any more
-    deleted = {"disturbance": {"seed"}, "controller": {"control_sign"}}
+    # disturbance.seed never changed a run (the run seed overrode it),
+    # controller.control_sign was never set and nc_fixed never adapts its
+    # gains; none of these is a key any more
+    deleted = {"disturbance": {"seed"}, "controller": {"control_sign"},
+               "nc_gains": {"eta1", "eta2", "k1_min", "k1_max", "k2_min",
+                            "k2_max"}}
     assert old - new == deleted.get(section, set())
     assert new <= old
 
@@ -197,6 +201,9 @@ def test_run_state_is_not_a_config_key():
 ], ids=["step.json", "sine.json", "every-key", "empty", "empty-network"])
 def test_configs_parse_equal_under_old_and_new_parser(doc):
     old, new = _ref_config_from_dict(doc), harness.config_from_dict(doc)
+    if old.nc_gains is not None:
+        old.nc_gains = ctl.FixedGains(**{f.name: getattr(old.nc_gains, f.name)
+                                         for f in dataclasses.fields(ctl.FixedGains)})
     assert new == old
     assert repr(new) == repr(old)   # same types too: 5.0 is not 5
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tgrbf import cli, harness, offline
+from tgrbf import control as ctl
 from tgrbf import plant as pl
 from tgrbf.network import TgrbfNet
 
@@ -27,8 +28,7 @@ def test_load_shipped_step_config():
     assert cfg.controller == "tgrbf_nc"
     assert cfg.reference.kind == "step"
     assert cfg.trigger.delta == pytest.approx(1e-4)
-    assert cfg.nc_gains is not None
-    assert cfg.nc_gains.eta1 == 0.0
+    assert cfg.nc_gains == ctl.FixedGains(k1=2.0, k2=3.0, alpha_pow=0.3)
     assert cfg.pid.kp == pytest.approx(264.1023066475561)
     assert cfg.n_steps == 3000
 
@@ -36,6 +36,24 @@ def test_load_shipped_step_config():
 def test_config_rejects_unknown_top_key():
     with pytest.raises(ValueError):
         harness.config_from_dict({"durations": 3.0})
+
+
+@pytest.mark.parametrize("key", ["eta1", "eta2", "k1_min", "k1_max",
+                                 "k2_min", "k2_max"])
+def test_nc_gains_rejects_the_adaptive_law_keys(key):
+    """The fixed-gain baseline never adapts, so the adaptive law's rates and
+    gain bounds are unknown keys under nc_gains, named in the error."""
+    with pytest.raises(ValueError, match=rf"unknown keys in 'nc_gains' config: \['{key}'\]"):
+        harness.config_from_dict({"nc_gains": {key: 0.5}})
+
+
+def test_nc_gains_takes_the_control_law_gains():
+    cfg = harness.config_from_dict(
+        {"nc_gains": {"k1": 4.0, "k2": 1.0, "alpha_pow": 0.5}})
+    assert cfg.nc_gains == ctl.FixedGains(k1=4.0, k2=1.0, alpha_pow=0.5)
+    for alpha_pow in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"alpha_pow must be in \(0, 1\)"):
+            harness.config_from_dict({"nc_gains": {"alpha_pow": alpha_pow}})
 
 
 def test_config_rejects_unknown_nested_key():
@@ -188,9 +206,8 @@ def test_pid_run_deterministic_and_logged():
 
 
 def test_nc_fixed_uses_dedicated_gains_when_given():
-    import tgrbf.control as ctl
     gains = ctl.GainState(k1=1.0, k2=1.0, eta1=0.0, eta2=0.0)
-    nc = ctl.GainState(k1=4.0, k2=1.0, eta1=0.0, eta2=0.0)
+    nc = ctl.FixedGains(k1=4.0, k2=1.0)
     t1, _ = harness.run_scenario(_pid_cfg(controller="nc_fixed", gains=gains,
                                           nc_gains=nc))
     t2, _ = harness.run_scenario(_pid_cfg(controller="nc_fixed", gains=gains))
@@ -204,7 +221,6 @@ def test_adaptive_gains_are_run_state_from_the_configured_gains():
     step over the trace's own e and dym_du, starting from the configured
     gains k0; each step's control law reads the gains before that step's
     adaptation.  The run leaves cfg.gains as they were."""
-    import tgrbf.control as ctl
     cfg = harness.load_config(ROOT / "configs" / "sine.json")
     cfg.checkpoint, cfg.duration_s = str(ROOT / cfg.checkpoint), 0.5
     k0 = copy.deepcopy(cfg.gains)
@@ -223,7 +239,6 @@ def test_the_loop_applies_the_actuator_limit_to_every_controller(monkeypatch):
     """control_law and pid_step return the law's value; the run loop clamps
     it to +-u_limit, once, whichever law ran.  sine.json at u_limit 2
     saturates every controller both ways."""
-    import tgrbf.control as ctl
     laws = []
     control_law, pid_step = ctl.control_law, ctl.pid_step
 
@@ -449,6 +464,45 @@ def test_cli_identify_takes_integral_floats(tmp_path):
     net = TgrbfNet.load(out / "network.json")
     assert (net.m, net.p) == (2, 2)
     assert len(offline.dataset_from_csv(out / "dataset.csv").samples) == 50
+
+
+def test_identify_config_defaults_are_the_recipe():
+    assert dataclasses.asdict(offline.IdentifyConfig()) == {
+        "n_samples": 1000, "epochs": 200, "m": 6, "p": 6, "seed": 0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 6.7}, "'identify.m' must be a whole number, got 6.7"),
+    ({"epochs": -1}, "'identify.epochs' must be >= 0, got -1"),
+    ({"seed": -1}, "'identify.seed' must be >= 0, got -1"),
+    ({"n_samples": 2}, "'identify.n_samples' must leave a holdout row (the "
+                       "last 0.2 of the rows), got 2"),
+], ids=["m-fraction", "epochs-negative", "seed-negative", "n_samples-no-holdout"])
+def test_cli_identify_rejection_messages(tmp_path, capsys, doc, message):
+    """IdentifyConfig holds the bounds that cmd_identify checked by hand,
+    with the same messages."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_identify_seed_flag_replaces_the_config_seed(tmp_path):
+    """--seed 5 on a config of seed 3 writes what a config of seed 5 does."""
+    outs = {}
+    for name, seed, argv in (("flag", 3, ["--seed", "5"]), ("five", 5, []),
+                             ("three", 3, [])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"n_samples": 50, "epochs": 0, "m": 2,
+                                   "p": 2, "seed": seed}))
+        out = tmp_path / name
+        assert cli.main(["identify", "--config", str(cfg), "--out", str(out),
+                         *argv]) == 0
+        outs[name] = [(out / f).read_bytes() for f in
+                      ("network.json", "dataset.csv", "fit_report.csv")]
+    assert outs["flag"] == outs["five"] != outs["three"]
 
 
 @pytest.mark.parametrize("command, text", [
