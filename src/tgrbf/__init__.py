@@ -1,5 +1,5 @@
 """Temporal-gated RBF network, online optimization and adaptive control."""
 
-from .network import TgrbfNet, ForwardTrace, rbf_forward, lgru_step
+from .network import TgrbfNet, ForwardTrace, lgru_step
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ def cmd_identify(args) -> int:
     persistence = offline.fit_metrics(hold.y[:-1], hold.y[1:])
     # every value parses with float(): nan when training did not halt
     halted = report.halted_epoch
-    offline._write_csv(
+    offline._write_rows(
         os.path.join(args.out, "fit_report.csv"), ["metric", "value"],
         [*((name, getattr(report, name)) for name in
            ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2")),
@@ -87,7 +87,7 @@ def cmd_compare(args) -> int:
     rows = []
     for name, (trace, metrics) in results.items():
         if trace is None:
-            rows.append([name] + ["nan"] * 6 + [1])
+            rows.append([name] + [math.nan] * 6 + [1])
             continue
         harness.export_trace_csv(
             trace, os.path.join(args.out, f"trace_{name}.csv"))
@@ -95,9 +95,9 @@ def cmd_compare(args) -> int:
                      metrics.overshoot_pct, metrics.settling_time_s,
                      int(metrics.settled), 0])
     table_path = os.path.join(args.out, "comparison.csv")
-    offline._write_csv(table_path, ["controller", "iae", "ise", "itae",
-                                    "overshoot_pct", "settling_time_s",
-                                    "settled", "aborted"], rows)
+    offline._write_rows(table_path, ["controller", "iae", "ise", "itae",
+                                     "overshoot_pct", "settling_time_s",
+                                     "settled", "aborted"], rows)
     print(f"comparison table written to {table_path}")
     return EXIT_OK
 

@@ -41,11 +41,11 @@ def _value_only(prm: dict, x: np.ndarray, h_prev: np.ndarray,
     y is (c,); einsum runs every inner loop along that contiguous axis."""
     mv = lambda A, v: np.einsum("ijc,jc->ic", A, v)
     dot = lambda a, b: np.einsum("ic,ic->c", a, b)
-    d2 = np.sum((prm["centers"] - x[None]) ** 2, axis=1)
+    d2 = ((prm["centers"] - x[None]) ** 2).sum(axis=1)
     y_rbf = dot(prm["rbf_w"], np.exp(-d2 / (2.0 * prm["widths"] ** 2)))
     zeta = _cat(x, h_prev)
-    z = np.clip(mv(prm["W_z"], zeta) + prm["b_z"], 0.0, 1.0)
-    r = np.clip(mv(prm["W_r"], zeta) + prm["b_r"], 0.0, 1.0)
+    z = (mv(prm["W_z"], zeta) + prm["b_z"]).clip(0.0, 1.0)
+    r = (mv(prm["W_r"], zeta) + prm["b_r"]).clip(0.0, 1.0)
     n = mv(prm["W_h"], _cat(x, r * h_prev)) + prm["b_h"]
     h_next = (1.0 - z) * h_prev + z * n
     y_gru = dot(prm["out_w"], h_next) + prm["out_b"]

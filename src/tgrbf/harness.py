@@ -20,7 +20,7 @@ from . import __version__
 from . import control as ctl
 from . import plant as pl
 from .network import TgrbfNet
-from .offline import HISTORY_LEN, Dataset, _write_csv, _write_rows
+from .offline import HISTORY_LEN, Dataset, _check_keys, _write_rows
 from .online import ExperienceBuffer, OnlineOptimizer, TriggerConfig
 
 __all__ = [
@@ -90,33 +90,6 @@ _SECTIONS = {"plant": pl.PlantParams, "disturbance": pl.DisturbanceSpec,
              "reference": pl.ReferenceSpec, "gains": ctl.GainState,
              "nc_gains": ctl.FixedGains, "pid": ctl.PidState,
              "trigger": TriggerConfig}
-
-
-# JSON values a key of each kind takes: a dataclass field's declared type,
-# "number" for a float() conversion, "whole number" (3.0 passes, 3.5 not) for
-# an int() one, "object" for a section.  A bool is not a number.
-_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
-               "str | None": (str, type(None)), "number": (int, float),
-               "whole number": (int, float), "object": (dict,)}
-
-
-def _check_keys(section: str, d, accepted: dict) -> dict:
-    """d, if it is a JSON object whose keys are all in `accepted`, each with a
-    value of the kind that `accepted` gives it."""
-    if not isinstance(d, dict):
-        raise ValueError(f"'{section}' config must be a JSON object, got {d!r}")
-    unknown = set(d) - set(accepted)
-    if unknown:
-        raise ValueError(f"unknown keys in '{section}' config: {sorted(unknown)}")
-    for key, value in d.items():
-        kind = accepted[key]
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise ValueError(f"'{section}.{key}' must be a JSON {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"'{section}.{key}' must be finite, got {value!r}")
-        if kind == "whole number" and value != int(value):
-            raise ValueError(f"'{section}.{key}' must be a whole number, got {value!r}")
-    return d
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -324,18 +297,17 @@ def compare_controllers(cfg: ScenarioConfig,
 
 
 def export_trace_csv(trace: RunTrace, path) -> None:
-    _write_rows(path, TRACE_COLUMNS, trace.data,
-                ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n")
+    _write_rows(path, TRACE_COLUMNS, trace.data)
 
 
 def export_metrics_csv(rep: MetricsReport, path) -> None:
-    _write_csv(path, ["metric", "value"], rep.as_rows())
+    _write_rows(path, ["metric", "value"], rep.as_rows())
 
 
 def export_events_csv(events: list, path) -> None:
-    _write_csv(path, ["k", "eta", "eta_explicit", "sigma_min", "sigma_max",
-                      "loss_before", "loss_after", "grad_norm", "safeguard",
-                      "rejected"],
-               ([ev.k, ev.eta, ev.eta_explicit, ev.sigma_min, ev.sigma_max,
-                 ev.loss_before, ev.loss_after, ev.grad_norm,
-                 int(ev.safeguard_hit), int(ev.rejected)] for ev in events))
+    _write_rows(path, ["k", "eta", "eta_explicit", "sigma_min", "sigma_max",
+                       "loss_before", "loss_after", "grad_norm", "safeguard",
+                       "rejected"],
+                [[ev.k, ev.eta, ev.eta_explicit, ev.sigma_min, ev.sigma_max,
+                  ev.loss_before, ev.loss_after, ev.grad_norm,
+                  ev.safeguard_hit, ev.rejected] for ev in events])

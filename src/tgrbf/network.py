@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "TgrbfNet",
     "ForwardTrace",
-    "rbf_forward",
     "lgru_step",
     "sigmoid",
 ]
@@ -45,23 +44,6 @@ def _item(a):
 
 def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
-
-
-def rbf_forward(x, centers, widths, weights):
-    """Evaluate the RBF branch.  Returns (y_rbf, phi, diff), diff = x - centers.
-
-    x is one input (n_in,) or a batch (s, n_in); y_rbf is then a float or
-    an (s,) array, phi has shape (m,) or (s, m) and diff (m, n_in) or
-    (s, m, n_in)."""
-    x = np.asarray(x, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != x.shape[-1]:
-        raise ValueError(f"centers shape {centers.shape} incompatible with input {x.shape}")
-    _check_widths(widths)
-    diff = x[..., None, :] - centers
-    phi = np.exp((diff ** 2).sum(axis=-1) / (-2.0 * widths ** 2))
-    return _item(phi @ weights), phi, diff
 
 
 def _check_widths(widths: np.ndarray) -> None:
@@ -228,7 +210,10 @@ class TgrbfNet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        y_rbf, phi, diff = rbf_forward(x, self.centers, self.widths, self.rbf_w)
+        _check_widths(self.widths)
+        diff = x[..., None, :] - self.centers   # the RBF branch
+        phi = np.exp((diff ** 2).sum(axis=-1) / (-2.0 * self.widths ** 2))
+        y_rbf = _item(phi @ self.rbf_w)
         h_next, zeta, pre_zr, zr, xi, n = lgru_step(
             x, h_prev, self.W_zr, self.b_zr, self.W_h, self.b_h)
         y_gru = _item(h_next @ self.out_w + float(self.out_b))
@@ -382,15 +367,18 @@ def random_net(n_in: int, m: int, p: int, rng: np.random.Generator,
                scale: float = 0.3) -> TgrbfNet:
     """Random network for tests and gradient audits.  Gate and LGRU weights
     uniform in [-scale, scale]; gate bias 0.5; clamp gates start mid-range."""
-    u = lambda *shape: rng.uniform(-scale, scale, size=shape)
+    k = n_in + p
+    centers = rng.uniform(-1.0, 1.0, size=(m, n_in))
+    widths = rng.uniform(0.5, 1.5, size=m)
+    # rbf_w, W_z, W_r, W_h, gate_w and out_w: consecutive draws, in one call
+    rbf_w, W_z, W_r, W_h, gate_w, out_w = np.split(
+        rng.uniform(-scale, scale, size=m + 3 * p * k + k + p),
+        np.cumsum([m, p * k, p * k, p * k, k]))
     return TgrbfNet(
-        centers=rng.uniform(-1.0, 1.0, size=(m, n_in)),
-        widths=rng.uniform(0.5, 1.5, size=m),
-        rbf_w=u(m),
-        W_z=u(p, n_in + p), b_z=np.full(p, 0.5),
-        W_r=u(p, n_in + p), b_r=np.full(p, 0.5),
-        W_h=u(p, n_in + p), b_h=np.zeros(p),
-        gate_w=u(n_in + p), gate_b=0.5,
-        out_w=u(p), out_b=0.0,
+        centers=centers, widths=widths, rbf_w=rbf_w,
+        W_z=W_z.reshape(p, k), b_z=np.full(p, 0.5),
+        W_r=W_r.reshape(p, k), b_r=np.full(p, 0.5),
+        W_h=W_h.reshape(p, k), b_h=np.zeros(p),
+        gate_w=gate_w, gate_b=0.5, out_w=out_w, out_b=0.0,
         h_init=np.zeros(p),
     )

@@ -36,6 +36,33 @@ _CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
 _EXPORT_ROWS = 64   # CSV rows per string operation; more saves no time, costs memory
 
 
+# JSON values a key of each kind takes: a dataclass field's declared type,
+# "number" for a float() conversion, "whole number" (3.0 passes, 3.5 not) for
+# an int() one, "object" for a section.  A bool is not a number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "str | None": (str, type(None)), "number": (int, float),
+               "whole number": (int, float), "object": (dict,)}
+
+
+def _check_keys(section: str, d, accepted: dict) -> dict:
+    """d, if it is a JSON object whose keys are all in `accepted`, each with a
+    value of the kind that `accepted` gives it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"'{section}' config must be a JSON object, got {d!r}")
+    unknown = set(d) - set(accepted)
+    if unknown:
+        raise ValueError(f"unknown keys in '{section}' config: {sorted(unknown)}")
+    for key, value in d.items():
+        kind = accepted[key]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ValueError(f"'{section}.{key}' must be a JSON {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"'{section}.{key}' must be finite, got {value!r}")
+        if kind == "whole number" and value != int(value):
+            raise ValueError(f"'{section}.{key}' must be a whole number, got {value!r}")
+    return d
+
+
 @dataclass
 class IdentifyConfig:
     """`tgrbf identify`'s settable values: the sample count, the gradient
@@ -50,7 +77,6 @@ class IdentifyConfig:
     def from_dict(cls, doc) -> IdentifyConfig:
         """The config an `identify` JSON document sets: its keys are fields,
         each value a whole number."""
-        from .harness import _check_keys   # harness imports this module
         _check_keys("identify", doc, dict.fromkeys(
             (f.name for f in fields(cls)), "whole number"))
         return cls(**{key: int(value) for key, value in doc.items()})
@@ -300,29 +326,24 @@ def fit_metrics(pred, actual) -> FitReport:
                      mae=float(np.mean(np.abs(err))), r2=r2)
 
 
-def _write_csv(path, header: list, rows) -> None:
-    """A CSV table; floats as %.17g (exact round trip), other values as the
-    csv module writes them."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
-                    for row in rows)
-
-
-def _write_rows(path, header: list, data: np.ndarray, line: str) -> None:
-    """A float array's rows, each as `line` (%d or %.17g fields, CRLF end),
-    the csv module's bytes for them; streamed, _EXPORT_ROWS rows per write."""
+def _write_rows(path, header: list, rows) -> None:
+    """A table of a float array's rows or a list of rows, the csv module's
+    bytes for them.  The first row sets each field's format: %s for text (a
+    name, never quoted), %.17g for any other value (an exact round trip);
+    lines end in CRLF.  Streamed, _EXPORT_ROWS rows per write."""
+    line = (",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+            + "\r\n") if len(rows) else ""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(data), _EXPORT_ROWS):
-            block = data[i:i + _EXPORT_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for i in range(0, len(rows), _EXPORT_ROWS):
+            block = rows[i:i + _EXPORT_ROWS]
+            fh.write((line * len(block)) % tuple(
+                np.asarray(block, dtype=object).ravel().tolist()))
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
     rows = np.column_stack((np.arange(len(data.u)), *data.regressor()))
-    _write_rows(path, _CSV_HEADER, rows, "%d" + ",%.17g" * 4 + "\r\n")
+    _write_rows(path, _CSV_HEADER, rows)
 
 
 def dataset_from_csv(path) -> Dataset:

@@ -207,7 +207,6 @@ class OnlineOptimizer:
         self.cfg = cfg
         self.rng = rng
         self.W_prev_masked = net.theta[:net.n_online].copy()
-        self.last_update_k: float = -math.inf
         self.events: list[UpdateEvent] = []
         self._pending = None   # a begun update, its step awaiting settle()
         self._replay = None    # a written step, its loss_after awaiting settle()
@@ -261,12 +260,12 @@ class OnlineOptimizer:
         step leaves the network unchanged."""
         if self._pending is not None:
             self.settle()
-        if not should_trigger(e_pred, self.cfg, k - self.last_update_k):
+        last_k = self.events[-1].k if self.events else -math.inf
+        if not should_trigger(e_pred, self.cfg, k - last_k):
             return None
         idx = sample_batch(self.buf, self.cfg.batch_s, self.rng)
         if idx.size == 0:
             return None
-        self.last_update_k = k
 
         X, H, targets = self.buf.gather(idx)
         F, J = residuals_and_jacobian(self.net, X, H, targets)

@@ -5,9 +5,10 @@ rewritten to make fewer numpy and Python calls per step.  These tests keep
 the code they replaced: a forward with separate update and reset gates,
 np.clip clamps and np.sum, float masks, the hand derivation of dy/dx, a
 full forward for the replay state, the safeguard's SVD of the wide J, a
-csv.writer export of the trace and the dataset, the identification loop
-with one noise draw per step, and the baselines' loop with dy/du taken at
-each step.
+csv.writer export of the trace, the dataset and the small tables (metrics,
+update events, fit report, comparison), the identification loop with one
+noise draw per step, the baselines' loop with dy/du taken at each step,
+and the audit's random networks with one draw per weight segment.
 
 The kernel now runs both gates as one stacked affine map, clamp and mask
 (W_zr = [W_z; W_r]), and dy/dx is one product of its first-layer terms with
@@ -18,14 +19,17 @@ to the kept references, the bound for numerical refactors, and a
 closed-loop run with the new kernel must fire the same updates as one with
 the references.  The safeguard now factors the tall J', whose singular
 values equal J's to rounding.  The replay state, the identification
-dataset and both CSV exports must still give the same bits, compared with
-np.array_equal (signed zeros included) or byte for byte.  The baselines'
+dataset, the random networks (and the generator state after them) and every
+CSV table must still give the same bits, compared with np.array_equal
+(signed zeros included) or byte for byte.  The baselines'
 dy/du, one batched pass per block of steps after the loop, is held to
 DYM_DU_DRIFT; their other trace columns keep every bit.
 """
 
 import csv
 import dataclasses
+import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -33,8 +37,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tgrbf import cli, harness, offline, online
 from tgrbf import control as ctl
-from tgrbf import harness, offline, online
 from tgrbf import plant as pl
 from tgrbf.network import _SEGMENTS, ForwardTrace, TgrbfNet, random_net, sigmoid
 
@@ -174,6 +178,65 @@ def _ref_dataset_to_csv(data, path):
         w.writerow(["k", "u", "y_prev", "y_teacher", "target"])
         for k, row in enumerate(data.samples.tolist()):
             w.writerow([k, *(f"{v:.17g}" for v in row)])
+
+
+def _ref_write_csv(path, header, rows):
+    """The small tables' csv.writer: floats as %.17g, other values as the
+    csv module writes them."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def _ref_export_events_csv(events, path):
+    _ref_write_csv(path, ["k", "eta", "eta_explicit", "sigma_min", "sigma_max",
+                          "loss_before", "loss_after", "grad_norm", "safeguard",
+                          "rejected"],
+                   ([ev.k, ev.eta, ev.eta_explicit, ev.sigma_min, ev.sigma_max,
+                     ev.loss_before, ev.loss_after, ev.grad_norm,
+                     int(ev.safeguard_hit), int(ev.rejected)] for ev in events))
+
+
+def _ref_fit_report_rows(report, persistence_mse):
+    """The rows of `tgrbf identify`'s fit_report.csv."""
+    halted = report.halted_epoch
+    return [*((name, getattr(report, name)) for name in
+              ("mse", "rmse", "mae", "r2", "deploy_mse", "deploy_r2")),
+            ("persistence_mse", persistence_mse),
+            ("halted_epoch", math.nan if halted is None else halted),
+            *((f"epoch_{i}_loss", loss) for i, loss in enumerate(report.loss_curve))]
+
+
+def _ref_comparison_rows(results):
+    """The rows of `tgrbf compare`'s comparison.csv; an aborted run's
+    metrics are the text "nan"."""
+    rows = []
+    for name, (trace, metrics) in results.items():
+        if trace is None:
+            rows.append([name] + ["nan"] * 6 + [1])
+            continue
+        rows.append([name, metrics.iae, metrics.ise, metrics.itae,
+                     metrics.overshoot_pct, metrics.settling_time_s,
+                     int(metrics.settled), 0])
+    return rows
+
+
+def _ref_random_net(n_in, m, p, rng, scale=0.3):
+    """random_net with one uniform draw per weight segment."""
+    u = lambda *shape: rng.uniform(-scale, scale, size=shape)
+    return TgrbfNet(
+        centers=rng.uniform(-1.0, 1.0, size=(m, n_in)),
+        widths=rng.uniform(0.5, 1.5, size=m),
+        rbf_w=u(m),
+        W_z=u(p, n_in + p), b_z=np.full(p, 0.5),
+        W_r=u(p, n_in + p), b_r=np.full(p, 0.5),
+        W_h=u(p, n_in + p), b_h=np.zeros(p),
+        gate_w=u(n_in + p), gate_b=0.5,
+        out_w=u(p), out_b=0.0,
+        h_init=np.zeros(p),
+    )
 
 
 def _ref_baseline_run(cfg, net):
@@ -567,6 +630,102 @@ def test_trace_export_streams_rows(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 2_000_000
     assert peak < 1_000_000
+
+
+# -- the small tables ------------------------------------------------------
+
+# values a table may hold, with the csv module's text for each as the kept
+# writer gives it: %.17g for a float, str() for an int
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+           -1e-300, 0.1, 1.0 / 3.0, 2.0 ** 53, 12.0]
+
+
+def _same_bytes(a, b):
+    return a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("i", range(len(SPECIAL)))
+def test_metrics_csv_is_byte_identical_to_csv_writer(tmp_path, i):
+    """Every field of the report: floats, the bool `settled` and the int
+    `update_count`."""
+    vals = SPECIAL[i:] + SPECIAL[:i]
+    rep = harness.MetricsReport(*vals[:5], settled=bool(i % 2),
+                                update_count=i * 997, fit_mse_online=vals[5])
+    harness.export_metrics_csv(rep, tmp_path / "new.csv")
+    _ref_write_csv(tmp_path / "ref.csv", ["metric", "value"], rep.as_rows())
+    assert _same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 200])
+def test_update_events_csv_is_byte_identical_to_csv_writer(tmp_path, n):
+    """Int steps, float fields with every special value, bool flags; more
+    rows than one write takes."""
+    rng = np.random.default_rng(n)
+    events = []
+    for i in range(n):
+        vals = (rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7)).tolist()
+        vals[i % 7] = SPECIAL[i % len(SPECIAL)]
+        events.append(online.UpdateEvent(
+            k=int(rng.integers(0, 10**6)), loss_before=vals[0], grad_norm=vals[1],
+            eta_explicit=vals[2], eta=vals[3], loss_after=vals[4],
+            safeguard_hit=bool(i % 2), sigma_min=vals[5], sigma_max=vals[6],
+            rejected=bool(i % 3 == 0)))
+    harness.export_events_csv(events, tmp_path / "new.csv")
+    _ref_export_events_csv(events, tmp_path / "ref.csv")
+    assert _same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("halted", [None, 0, 12])
+def test_fit_report_csv_is_byte_identical_to_csv_writer(tmp_path, monkeypatch, halted):
+    """`tgrbf identify`'s fit report, its training's report replaced by one
+    holding the special values: an int or nan halted_epoch, a loss curve."""
+    report = offline.FitReport(*SPECIAL[:4], loss_curve=SPECIAL[4:],
+                               halted_epoch=halted, deploy_mse=SPECIAL[-1],
+                               deploy_r2=-0.0)
+    monkeypatch.setattr(offline, "train_offline",
+                        lambda net, data, epochs, seed: (net, report))
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_samples": 20, "m": 2, "p": 2}))
+    assert cli.main(["identify", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    hold = offline.generate_dataset(20, 0).holdout()
+    persistence = offline.fit_metrics(hold.y[:-1], hold.y[1:]).mse
+    _ref_write_csv(tmp_path / "ref.csv", ["metric", "value"],
+                   _ref_fit_report_rows(report, persistence))
+    assert _same_bytes(tmp_path / "out" / "fit_report.csv", tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("aborted", [(), ("nc_fixed",), harness.CONTROLLER_TYPES])
+def test_comparison_csv_is_byte_identical_to_csv_writer(tmp_path, monkeypatch, aborted):
+    """`tgrbf compare`'s table, its runs replaced by reports holding the
+    special values; an aborted run's row is nan metrics and aborted 1."""
+    trace = harness.RunTrace(data=np.zeros((1, len(harness.TRACE_COLUMNS))),
+                             metadata={})
+    results = {name: (None, None) if name in aborted else
+               (trace, harness.MetricsReport(*SPECIAL[3 * i:3 * i + 5],
+                                             settled=bool(i % 2)))
+               for i, name in enumerate(harness.CONTROLLER_TYPES)}
+    monkeypatch.setattr(harness, "compare_controllers", lambda cfg: results)
+    assert cli.main(["compare", "--config", str(ROOT / "configs" / "step.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    _ref_write_csv(tmp_path / "ref.csv",
+                   ["controller", "iae", "ise", "itae", "overshoot_pct",
+                    "settling_time_s", "settled", "aborted"],
+                   _ref_comparison_rows(results))
+    assert _same_bytes(tmp_path / "out" / "comparison.csv", tmp_path / "ref.csv")
+
+
+# -- the audit's random networks ---------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 82])
+def test_random_net_equals_the_per_segment_draws(seed):
+    """One draw for the six uniform weight segments gives the doubles of one
+    draw per segment, and leaves the generator where they left it."""
+    rng, ref_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for m in range(1, 9):
+        for p in range(1, 9):
+            net, ref = random_net(3, m, p, rng), _ref_random_net(3, m, p, ref_rng)
+            assert net.theta.tobytes() == ref.theta.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- identification dataset --------------------------------------------------

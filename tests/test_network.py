@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from tgrbf.network import TgrbfNet, random_net, rbf_forward, sigmoid
+from tgrbf.network import TgrbfNet, random_net, sigmoid
+
+
+def _rbf_net(centers, widths, rbf_w):
+    """A network whose RBF branch has the given nodes (one hidden unit)."""
+    k = np.shape(centers)[1] + 1
+    return TgrbfNet(centers=centers, widths=widths, rbf_w=rbf_w,
+                    W_z=np.zeros((1, k)), b_z=np.zeros(1), W_r=np.zeros((1, k)),
+                    b_r=np.zeros(1), W_h=np.zeros((1, k)), b_h=np.zeros(1),
+                    gate_w=np.zeros(k), gate_b=0.0, out_w=np.zeros(1), out_b=0.0,
+                    h_init=np.zeros(1))
 
 
 def _kernel(x, center, width):
-    """The one-node kernel value phi of rbf_forward."""
-    return float(rbf_forward(x, [center], [width], [1.0])[1][0])
+    """The kernel value phi of a one-node network's forward trace."""
+    return float(_rbf_net([center], [width], [1.0]).forward(x)[1].phi[0])
 
 
 def test_rbf_kernel_unit_distance():
@@ -24,28 +34,34 @@ def test_rbf_kernel_at_center_is_one():
 
 
 def test_rbf_kernel_rejects_bad_width_and_shape():
-    with pytest.raises(ValueError):
+    # the constructor's width check, then forward's input shape check
+    with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
         _kernel([0.0], [0.0], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
         _kernel([0.0], [0.0], -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input must have shape"):
         _kernel([0.0, 1.0], [0.0], 1.0)
 
 
 def test_rbf_forward_weighted_sum():
     # d2 = 1 and 4 -> exp(-0.5) + 2 exp(-2)
-    y, phi, diff = rbf_forward([1.0], [[0.0], [3.0]], [1.0, 1.0], [1.0, 2.0])
-    assert y == pytest.approx(math.exp(-0.5) + 2.0 * math.exp(-2.0))
-    assert y == pytest.approx(0.877201, abs=1e-6)
-    assert phi.shape == (2,)
-    assert diff.tolist() == [[1.0], [-2.0]]   # x - centers
+    trace = _rbf_net([[0.0], [3.0]], [1.0, 1.0], [1.0, 2.0]).forward([1.0])[1]
+    assert trace.y_rbf == pytest.approx(math.exp(-0.5) + 2.0 * math.exp(-2.0))
+    assert trace.y_rbf == pytest.approx(0.877201, abs=1e-6)
+    assert trace.phi.shape == (2,)
+    assert trace.diff.tolist() == [[1.0], [-2.0]]   # x - centers
 
 
 def test_rbf_forward_validation():
-    with pytest.raises(ValueError):
-        rbf_forward([1.0], [[0.0, 0.0]], [1.0], [1.0])
-    with pytest.raises(ValueError):
-        rbf_forward([1.0], [[0.0]], [0.0], [1.0])
+    with pytest.raises(ValueError, match="^input must have shape"):
+        _rbf_net([[0.0, 0.0]], [1.0], [1.0]).forward([1.0])
+    with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
+        _rbf_net([[0.0]], [0.0], [1.0])
+    # a width written after construction is caught by forward's own check
+    net = _rbf_net([[0.0]], [1.0], [1.0])
+    net.widths = [0.0]
+    with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
+        net.forward([1.0])
 
 
 def _lgru_net(n_in, W_z, b_z, W_r, b_r, W_h, b_h, out_w, out_b):
