@@ -33,8 +33,7 @@ TRACE_COLUMNS = ["t", "r", "y", "e", "u", "y_pred", "k1", "k2", "dym_du",
                  "g", "triggered", "eta"]
 
 CONTROLLER_TYPES = ("tgrbf_nc", "nc_fixed", "pid")
-_DYM_DU_ROWS = 256   # steps per batched pass of the baselines' dy/du: a fixed peak
-_DYM_DU = TRACE_COLUMNS.index("dym_du")
+_MODEL_ROWS = 256   # steps per block of the baselines' model pass: a fixed peak
 
 
 class RunAborted(RuntimeError):
@@ -151,11 +150,9 @@ def run_scenario(cfg: ScenarioConfig,
                  net: TgrbfNet | None = None) -> tuple[RunTrace, MetricsReport]:
     """Execute one closed-loop scenario.  Returns (trace, metrics).
 
-    The network (when present) predicts the current output each step from
-    the deployment regressor row of the loop's history; its prediction error
-    drives the experience buffer and, for the adaptive controller, the
-    event-triggered optimizer and the gain adaptation.
-    """
+    For the adaptive controller the network predicts each step's output from
+    its deployment row, which drives the buffer, the optimizer and the gains;
+    for a baseline it predicts every step after the loop, read by nothing."""
     if net is None and cfg.checkpoint:
         net = TgrbfNet.load(cfg.checkpoint)
     if net is not None:
@@ -166,10 +163,9 @@ def run_scenario(cfg: ScenarioConfig,
         raise ValueError("tgrbf_nc controller requires a network checkpoint")
 
     noise = np.random.Generator(np.random.PCG64(cfg.seed))
-    opt_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     if adaptive:
-        buf = ExperienceBuffer(cfg.buffer_capacity, net.n_in, net.p)
-        opt = OnlineOptimizer(net, buf, cfg.trigger, opt_rng)
+        opt = OnlineOptimizer(net, ExperienceBuffer(cfg.buffer_capacity, net.n_in, net.p),
+                              cfg.trigger, np.random.Generator(np.random.PCG64(cfg.seed + 1)))
 
     state = pl.make_state(cfg.plant)
     gains = (cfg.nc_gains if cfg.controller == "nc_fixed"
@@ -178,9 +174,9 @@ def run_scenario(cfg: ScenarioConfig,
     e_prev, integral = 0.0, 0.0   # the PID's run state
     history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
-    data = np.zeros((n, len(TRACE_COLUMNS)))
-    # the baselines' [x, h_prev] rows since their last dy/du pass
-    zeta = np.empty((_DYM_DU_ROWS, net.n_in + net.p)) if net is not None and not adaptive else None
+    # the trace, after HISTORY_LEN zero rows: the history before step 0
+    padded = np.zeros((HISTORY_LEN + n, len(TRACE_COLUMNS)))
+    data = padded[HISTORY_LEN:]
 
     for k in range(n):
         t = k * cfg.plant.Ts
@@ -188,24 +184,19 @@ def run_scenario(cfg: ScenarioConfig,
         y = pl.output(state, cfg.plant)
         if abs(y) > 1e6:
             raise RunAborted(f"output diverged at step {k}: y = {y}")
+        e = r - y
+        history.y[:-1], history.y[-1] = history.y[1:], y
+
+        y_pred, g_val, dym_du = 0.0, 0.0, 0.0
         if adaptive:
             # an earlier update's waiting stage runs before the network
             # predicts again: the last trigger's step, or the replay after it
             opt.settle()
-        e = r - y
-        history.y[:-1], history.y[-1] = history.y[1:], y
-
-        y_pred, g_val, dym_du, e_pred = 0.0, 0.0, 0.0, 0.0
-        if net is not None:
             X, targets = history.regressor(deploy=True)
             y_pred, trace = net.advance(X[-1])
-            g_val = trace.g
-            if adaptive:
-                dym_du = float(net.jacobian_input(trace)[0])
-            else:   # the baselines' dy/du is filled per block, below
-                j = k % _DYM_DU_ROWS
-                zeta[j] = trace.zeta
-            e_pred = y - y_pred
+            g_val, dym_du = trace.g, float(net.jacobian_input(trace)[0])
+            opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(y - y_pred))
+            opt.maybe_update(k, y - y_pred)
 
         if cfg.controller == "pid":
             u, integral = ctl.pid_step(cfg.pid, e, e_prev, integral, cfg.plant.Ts)
@@ -214,27 +205,28 @@ def run_scenario(cfg: ScenarioConfig,
             u = ctl.control_law(e, k1, k2, gains.alpha_pow)
         # the actuator limit, as a conditional: min(max()) costs 5x per step
         u = cfg.u_limit if u > cfg.u_limit else -cfg.u_limit if u < -cfg.u_limit else u
-
         if adaptive:
-            opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(e_pred))
-            opt.maybe_update(k, e_pred)
             k1, k2 = ctl.adapt_gains(gains, k1, k2, e, dym_du)
 
         d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, k1, k2, dym_du, g_val, 0.0, 0.0)
         history.u[:-1], history.u[-1] = history.u[1:], u
-        if zeta is not None and (j == _DYM_DU_ROWS - 1 or k == n - 1):
-            # a full block, or the last: one batched pass fills its dy/du
-            x, h = np.hsplit(zeta[:j + 1], [net.n_in])
-            data[k - j:k + 1, _DYM_DU] = net.jacobian_input(net.forward(x, h_prev=h)[1])[:, 0]
 
+    col = TRACE_COLUMNS.index
     if adaptive:
         opt.settle()   # the last update's step
         opt.settle()   # and its loss_after replay
         for ev in opt.events:   # the update log fills the update columns
-            data[ev.k, TRACE_COLUMNS.index("triggered")] = 1.0
-            data[ev.k, TRACE_COLUMNS.index("eta")] = ev.eta
+            data[ev.k, col("triggered")], data[ev.k, col("eta")] = 1.0, ev.eta
+    elif net is not None:   # the baselines never read the model's columns
+        for k in range(0, n, _MODEL_ROWS):   # so they are filled block by block
+            rows = padded[k:k + _MODEL_ROWS + HISTORY_LEN]   # with their history
+            block = data[k:k + _MODEL_ROWS]
+            X = Dataset(rows[:-1, col("u")], rows[:, col("y")]).regressor(deploy=True)[0]
+            y_pred, trace = net.advance(X[-len(block):])
+            block[:, col("y_pred")], block[:, col("g")] = y_pred, trace.g
+            block[:, col("dym_du")] = net.jacobian_input(trace)[:, 0]
     trace = RunTrace(
         data=data,
         metadata={"config_hash": cfg.config_hash(), "seed": cfg.seed,

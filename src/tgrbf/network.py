@@ -203,14 +203,8 @@ class TgrbfNet:
         x is one input (n_in,) or a batch (s, n_in).  For a batch, h_prev
         is (s, p), one state per row, y is an (s,) array and every trace
         field carries the batch axis."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
-            raise ValueError(f"input must have shape ({self.n_in},) or "
-                             f"(s, {self.n_in}), got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite network input")
+        x = self._checked(x)
         h_prev = self.h if h_prev is None else np.asarray(h_prev, dtype=float)
-        _check_widths(self.widths)
         diff = x[..., None, :] - self.centers   # the RBF branch
         phi = np.exp((diff ** 2).sum(axis=-1) / (-2.0 * self.widths ** 2))
         y_rbf = _item(phi @ self.rbf_w)
@@ -228,10 +222,40 @@ class TgrbfNet:
                              zeta=zeta, xi=xi)
         return y, trace
 
-    def advance(self, x) -> tuple[float, ForwardTrace]:
-        """forward() that also commits the new hidden state."""
-        y, trace = self.forward(x)
-        self.h = trace.h_next
+    def _checked(self, x) -> np.ndarray:
+        """x as a float array, if forward may evaluate it."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n_in,) or x.ndim > 2:
+            raise ValueError(f"input must have shape ({self.n_in},) or "
+                             f"(s, {self.n_in}), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite network input")
+        _check_widths(self.widths)
+        return x
+
+    def hidden_states(self, X: np.ndarray, h0=None) -> np.ndarray:
+        """Hidden state entering each step of a chronological input sequence
+        (n, n_in) from h0 (h_init by default), scanned by `lgru_step` alone: the
+        single-sample h_next chain, bit for bit.  (n, c, 1, n_in) scans c side
+        by side in one-row products (a (c, n_in) GEMM would move the last bit)."""
+        H = np.empty(X.shape[:-1] + (self.p,))
+        H[:1] = self.h_init if h0 is None else h0
+        for i in range(1, len(X)):
+            H[i] = lgru_step(X[i - 1], H[i - 1], self.W_zr, self.b_zr, self.W_h,
+                             self.b_h)[0]
+        return H
+
+    def advance(self, x) -> tuple[float | np.ndarray, ForwardTrace]:
+        """forward() that also commits the new hidden state; a sequence
+        (n, n_in) runs from its `hidden_states`, scanned from the stored one."""
+        if np.ndim(x) != 2:
+            y, trace = self.forward(x)
+            self.h = trace.h_next
+            return y, trace
+        # a zero row more, never read: the scan's last state follows x[-1]
+        H = self.hidden_states(np.pad(self._checked(x), ((0, 1), (0, 0))), self.h)
+        y, trace = self.forward(x, h_prev=H[:-1])
+        self.h = H[-1]   # not trace.h_next[-1], a batched product
         return y, trace
 
     # -- Jacobians ----------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import plant as pl
-from .network import TgrbfNet, lgru_step
+from .network import TgrbfNet
 from .online import explicit_step_size, momentum_update
 
 __all__ = [
@@ -194,28 +194,12 @@ def initialize_network(data: Dataset, m: int, p: int, seed: int) -> TgrbfNet:
     )
 
 
-def _hidden_states(net: TgrbfNet, X: np.ndarray) -> np.ndarray:
-    """Hidden state entering each step of a chronological input sequence,
-    reset to h_init at its start; one batched forward from them gives the
-    sequence's one-step predictions.  The chain depends on the LGRU branch
-    alone, so it is scanned with `lgru_step`, bit for bit the h_next chain
-    of single-sample forwards: X is (n, n_in), or (n, c, 1, n_in) for c
-    sequences side by side, whose singleton row axis keeps each step one-row
-    products (a (c, n_in) step is one GEMM, which moves the last bit)."""
-    H = np.empty(X.shape[:-1] + (net.p,))
-    H[:1] = net.h_init
-    for i in range(1, len(X)):
-        H[i] = lgru_step(X[i - 1], H[i - 1], net.W_zr, net.b_zr, net.W_h,
-                         net.b_h)[0]
-    return H
-
-
 def _chunk_states(net: TgrbfNet, X: np.ndarray) -> list:
-    """`_hidden_states` of each CHUNK_LEN chunk of X, scanned side by side
+    """`TgrbfNet.hidden_states` of each CHUNK_LEN chunk of X, side by side
     (a ragged last chunk padded with zero rows, their states dropped)."""
     stack = np.zeros((-(-len(X) // CHUNK_LEN), CHUNK_LEN, 1, X.shape[1]))
     stack.reshape(-1, X.shape[1])[:len(X)] = X
-    H = _hidden_states(net, stack.swapaxes(0, 1)).swapaxes(0, 1)
+    H = net.hidden_states(stack.swapaxes(0, 1)).swapaxes(0, 1)
     return np.split(H.reshape(-1, net.p)[:len(X)],
                     range(CHUNK_LEN, len(X), CHUNK_LEN))
 
@@ -276,7 +260,7 @@ def train_offline(net: TgrbfNet, data: Dataset, epochs: int,
         W_epoch_start = net.to_vector()
         for ci in rng.permutation(len(chunks)):
             X_c, targets_c = chunks[ci]
-            y_hat, trace = net.forward(X_c, h_prev=_hidden_states(net, X_c))
+            y_hat, trace = net.forward(X_c, h_prev=net.hidden_states(X_c))
             F, J = targets_c - y_hat, -net.jacobian_params(trace)   # J = dF/dW
             grad, eta, degenerate = explicit_step_size(F, J)
             eta = min(ETA_MAX, 1.0) if degenerate else min(eta, ETA_MAX)
@@ -303,14 +287,14 @@ def evaluate_teacher(net: TgrbfNet,
                      data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Predictions from h_init over the teacher-forcing rows, and targets."""
     X, targets = data.regressor()
-    return net.forward(X, h_prev=_hidden_states(net, X))[0], targets
+    return net.forward(X, h_prev=net.hidden_states(X))[0], targets
 
 
 def evaluate_deploy(net: TgrbfNet,
                     data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """evaluate_teacher over the dataset's deployment rows."""
     X, targets = data.regressor(deploy=True)
-    return net.forward(X, h_prev=_hidden_states(net, X))[0], targets
+    return net.forward(X, h_prev=net.hidden_states(X))[0], targets
 
 
 def fit_metrics(pred, actual) -> FitReport:

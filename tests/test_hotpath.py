@@ -21,9 +21,10 @@ the references.  The safeguard now factors the tall J', whose singular
 values equal J's to rounding.  The replay state, the identification
 dataset, the random networks (and the generator state after them) and every
 CSV table must still give the same bits, compared with np.array_equal
-(signed zeros included) or byte for byte.  The baselines'
-dy/du, one batched pass per block of steps after the loop, is held to
-DYM_DU_DRIFT; their other trace columns keep every bit.
+(signed zeros included) or byte for byte.  The baselines' y_pred and
+dy/du, one sequence `advance` and `jacobian_input` per block of steps after
+the loop, are held to MODEL_DRIFT; their other trace columns, g included,
+keep every bit.
 """
 
 import csv
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgrbf import cli, harness, offline, online
+from tgrbf import cli, harness, network, offline, online
 from tgrbf import control as ctl
 from tgrbf import plant as pl
 from tgrbf.network import _SEGMENTS, ForwardTrace, TgrbfNet, random_net, sigmoid
@@ -240,7 +241,8 @@ def _ref_random_net(n_in, m, p, rng, scale=0.3):
 
 
 def _ref_baseline_run(cfg, net):
-    """run_scenario's loop for nc_fixed and pid, dy/du taken at each step."""
+    """run_scenario's loop for nc_fixed and pid, with advance and dy/du
+    taken at each step."""
     net = net.copy()
     net.reset()
     noise = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -346,18 +348,26 @@ def test_kernel_matches_kept_reference(batch):
             assert _close(net.jacobian_input(tr), _ref_jacobian_input(net, tr_ref))
 
 
-def test_one_input_keeps_the_input_and_width_checks():
-    """One input, the closed loop's call, is rejected for a non-finite
-    input, a wrong shape and a non-positive width with the same messages as
-    a batch, and advance() then leaves the hidden state as it was."""
+def test_one_input_keeps_the_input_and_width_checks(monkeypatch):
+    """One input, the closed loop's call, and a sequence of inputs are
+    rejected for a non-finite input, a wrong shape and a non-positive width
+    with the same messages as a batch, before a sequence is scanned, and
+    advance() then leaves the hidden state as it was."""
+    def no_scan(self, X, h0=None):
+        raise AssertionError("scanned a rejected sequence")
+
+    monkeypatch.setattr(TgrbfNet, "hidden_states", no_scan)
     net = random_net(3, 4, 5, np.random.default_rng(7))
     net.h = np.random.default_rng(8).normal(size=net.p)
     h = net.h.copy()
-    for x in ([0.1, np.nan, 0.2], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]):
+    for x in ([0.1, np.nan, 0.2], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf],
+              [[0.1, 0.2, 0.3], [0.4, 0.5, np.nan]], [[np.inf, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="^non-finite network input$"):
             net.advance(np.array(x))
     shape = r"^input must have shape \(3,\) or \(s, 3\), got "
-    for x in (np.zeros(2), np.zeros(4), np.zeros((1, 1, 3)), np.float64(0.5)):
+    for x in (np.zeros(2), np.zeros(4), np.zeros((1, 1, 3)), np.float64(0.5),
+              np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((0, 4)),
+              np.zeros((2, 1, 3))):
         with pytest.raises(ValueError, match=shape + re.escape(str(x.shape)) + "$"):
             net.advance(x)
     for bad in (0.0, -0.5):
@@ -367,10 +377,50 @@ def test_one_input_keeps_the_input_and_width_checks():
             with pytest.raises(ValueError,
                                match="^all kernel widths must be positive$"):
                 broken.forward(x, h_prev=None if x.ndim == 1 else np.zeros((2, 5)))
-        with pytest.raises(ValueError, match="^all kernel widths must be positive$"):
-            broken.advance(np.zeros(3))
+            with pytest.raises(ValueError,
+                               match="^all kernel widths must be positive$"):
+                broken.advance(x)
         assert broken.h.tobytes() == h.tobytes()
     assert net.h.tobytes() == h.tobytes()
+
+
+def _sequence_nets():
+    """The random networks, then the shipped one, whose gate weights are all
+    0 (its training halts at epoch 0)."""
+    yield from _nets(12)
+    net, rng = TgrbfNet.load(ROOT / "artifacts" / "network.json"), np.random.default_rng(3)
+    net.h = rng.normal(size=net.p)
+    yield net, rng
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_sequence_advance_equals_the_single_sample_chain(rows):
+    """Blocks of `rows` inputs and a ragged last block, one advance each, from
+    a non-default state: trace.h_prev and the committed h are the bits of a
+    chain of single-sample advance calls, and y is within 1e-12 of it.  g is
+    its bits where the gate reads no input (a frozen gate, or gate_w 0 as
+    shipped); a gate on [x; h_prev] is one matrix-vector product for the
+    sequence, so there g is held to 1e-12.  An empty sequence commits the
+    stored state."""
+    for net, rng in _sequence_nets():
+        X = rng.normal(size=(3 * rows + 2, net.n_in))
+        seq, chain = net.copy(), net.copy()
+        for a in range(0, len(X), rows):
+            with np.errstate(over="ignore"):   # g == 0.0 past exp's range
+                y, trace = seq.advance(X[a:a + rows])
+                steps = [chain.advance(x) for x in X[a:a + rows]]
+            assert _same(trace.h_prev, np.array([tr.h_prev for _, tr in steps]))
+            assert _same(seq.h, chain.h)
+            g = np.array([tr.g for _, tr in steps])
+            if net.gate_frozen or not net.gate_w.any():
+                assert _same(trace.g, g)
+            else:
+                assert _close(trace.g, g)
+            assert _close(y, [y_k for y_k, _ in steps])
+        h = seq.h.copy()
+        y, trace = seq.advance(np.zeros((0, net.n_in)))
+        assert y.shape == (0,) and trace.h_prev.shape == (0, net.p)
+        assert _same(seq.h, h)
 
 
 def test_a_gate_pre_activation_past_the_exp_range_closes_the_gate():
@@ -773,42 +823,82 @@ def test_identify_recipe_dataset_is_the_shipped_file(tmp_path):
         (ROOT / "artifacts" / "dataset.csv").read_bytes()
 
 
-# -- the baselines' dy/du ----------------------------------------------------
+# -- the baselines' model columns ---------------------------------------------
 
-# The baselines' dy/du comes from one batched forward and jacobian_input per
-# block of steps, not one per step: to this bound relative to the largest
-# |dy/du| of the run.  Every other column is unchanged to the bit.
-DYM_DU_DRIFT = 1e-12
+# The baselines' y_pred and dy/du come from one sequence advance and one
+# jacobian_input per block of steps after the loop, not one call per step:
+# to this bound relative to the run's largest |value| of each column.  Every
+# other column, g included, is unchanged to the bit.
+MODEL_DRIFT = 1e-12
+MODEL_COLUMNS = ("y_pred", "dym_du")
 
 
 @pytest.mark.parametrize("controller", ["nc_fixed", "pid"])
 def test_baseline_trace_matches_the_per_step_dym_du_loop(controller):
-    """2.5 s of sine.json: full blocks of the per-block pass and a ragged
+    """2.5 s of sine.json: full blocks of the post-loop pass and a ragged
     last one."""
     cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
                               duration_s=2.5, controller=controller)
     net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
     got = harness.run_scenario(cfg, net)[0].data
     ref = _ref_baseline_run(cfg, net)
-    j = harness.TRACE_COLUMNS.index("dym_du")
-    rest = [i for i in range(len(harness.TRACE_COLUMNS)) if i != j]
+    drifting = [harness.TRACE_COLUMNS.index(name) for name in MODEL_COLUMNS]
+    rest = [i for i in range(len(harness.TRACE_COLUMNS)) if i not in drifting]
     assert got[:, rest].tobytes() == ref[:, rest].tobytes()
-    scale = float(np.max(np.abs(ref[:, j])))
-    assert scale > 0.0
-    assert float(np.max(np.abs(got[:, j] - ref[:, j]))) <= DYM_DU_DRIFT * scale
+    for j in drifting:
+        scale = float(np.max(np.abs(ref[:, j])))
+        assert scale > 0.0
+        assert float(np.max(np.abs(got[:, j] - ref[:, j]))) <= MODEL_DRIFT * scale
 
 
-def test_baseline_dym_du_record_does_not_grow_with_duration(monkeypatch):
-    """The [x, h_prev] rows a baseline keeps for its batched dy/du pass take
-    the same memory in a 0.6 s and a 2.4 s run.  Seen at each pass (the one
-    jacobian_input call of a baseline run): what harness.py holds, less the
-    trace itself, 12 doubles a step.  A record of every step would add
-    72 bytes a step, 130 kB here."""
+def _count_model_calls(monkeypatch):
+    """The names of the advance and jacobian_input calls made from now on."""
+    calls = []
+    for name in ("advance", "jacobian_input"):
+        def counted(self, *args, _name=name, _f=getattr(TgrbfNet, name)):
+            calls.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(TgrbfNet, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("controller", ["nc_fixed", "pid"])
+def test_baseline_run_without_steps_or_network_makes_no_model_pass(
+        monkeypatch, controller):
+    """duration_s 0 runs no step and checkpoint None loads no network: no
+    model call either way, and fit_mse_online is nan.  Without a network the
+    model columns read 0 and every other column is the reference's."""
+    cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
+                              controller=controller)
+    net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
+    calls = _count_model_calls(monkeypatch)
+    trace, metrics = harness.run_scenario(dataclasses.replace(cfg, duration_s=0.0), net)
+    assert trace.data.shape == (0, len(harness.TRACE_COLUMNS))
+    assert math.isnan(metrics.fit_mse_online) and calls == []
+    cfg = dataclasses.replace(cfg, duration_s=0.5, checkpoint=None)
+    trace, metrics = harness.run_scenario(cfg)
+    assert math.isnan(metrics.fit_mse_online) and calls == []
+    model = [harness.TRACE_COLUMNS.index(c) for c in ("y_pred", "dym_du", "g")]
+    rest = [i for i in range(len(harness.TRACE_COLUMNS)) if i not in model]
+    assert trace.data.shape == (500, len(harness.TRACE_COLUMNS))
+    assert not trace.data[:, model].any()
+    assert trace.data[:, rest].tobytes() == _ref_baseline_run(cfg, net)[:, rest].tobytes()
+
+
+def test_baseline_model_pass_does_not_grow_with_duration(monkeypatch):
+    """A baseline run calls advance and jacobian_input once per block of 256
+    steps, never per step, and the pass takes the same memory in a 0.6 s and
+    a 2.4 s run.  Seen at each jacobian_input call: what the harness, the
+    network and the dataset modules hold, less the trace itself, 12 doubles
+    a step.  The rows and the forward trace of the whole run would add over
+    700 bytes a step, 1.3 MB here."""
+    calls = _count_model_calls(monkeypatch)
     jacobian_input, held = TgrbfNet.jacobian_input, []
+    files = [tracemalloc.Filter(True, module.__file__)
+             for module in (harness, offline, network)]
 
     def seen(self, trace):
-        snap = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, harness.__file__)])
+        snap = tracemalloc.take_snapshot().filter_traces(files)
         held[-1] = max(held[-1], sum(st.size for st in snap.statistics("filename")))
         return jacobian_input(self, trace)
 
@@ -818,10 +908,13 @@ def test_baseline_dym_du_record_does_not_grow_with_duration(monkeypatch):
         cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
                                   duration_s=duration, controller="nc_fixed")
         held.append(0)
+        calls.clear()
         tracemalloc.start()
         try:
             harness.run_scenario(cfg, net)
         finally:
             tracemalloc.stop()
         held[-1] -= cfg.n_steps * len(harness.TRACE_COLUMNS) * 8
+        blocks = -(-cfg.n_steps // 256)
+        assert calls.count("advance") == calls.count("jacobian_input") == blocks
     assert held[0] > 0 and held[1] - held[0] < 1024, held

@@ -195,10 +195,10 @@ LENGTHS = (1, 5, 32, 64, 65, 70)
 
 # -- the scanned hidden-state chain --------------------------------------------
 
-def _h_next_chain(net, X):
-    """The hidden states entering each row, from h_init, by single-sample
-    forwards."""
-    H, h = [], net.h_init.copy()
+def _h_next_chain(net, X, h0=None):
+    """The hidden states entering each row, from h0 (h_init by default), by
+    single-sample forwards."""
+    H, h = [], net.h_init.copy() if h0 is None else h0
     for x in X:
         H.append(h)
         h = net.forward(x, h_prev=h)[1].h_next
@@ -209,8 +209,11 @@ def test_scanned_hidden_states_equal_the_h_next_chain_bit_for_bit(
         monkeypatch):
     for net, rng in _nets(0, 40):
         X = _samples(rng, int(rng.integers(1, 60)))[:, :-1]
-        H = offline._hidden_states(net, X)
+        H = net.hidden_states(X)
         assert H.tobytes() == _h_next_chain(net, X).tobytes()
+        # from a non-default state, as a sequence advance scans
+        h0 = rng.normal(size=net.p)
+        assert net.hidden_states(X, h0).tobytes() == _h_next_chain(net, X, h0).tobytes()
     # the training chunks scanned side by side: 25 chunks of 32 rows, and
     # the epoch-0 test's chunk lengths, each with a ragged last chunk
     for n, chunk_len in ((800, 32), (96, 20), (91, 9), (70, 16)):
@@ -231,7 +234,7 @@ def test_chunk_residuals_and_jacobian_match_the_loop(n):
     for net, rng in _nets(n, 12):
         for chunk in _chunks(_samples(rng, n), 32):
             X, targets = chunk[:, :-1], chunk[:, -1]
-            y_hat, trace = net.forward(X, h_prev=offline._hidden_states(net, X))
+            y_hat, trace = net.forward(X, h_prev=net.hidden_states(X))
             F_ref, J_ref = _ref_chunk_pass(net, chunk, with_jacobian=True)
             assert _rel(targets - y_hat, F_ref) <= TOL
             assert _rel(-net.jacobian_params(trace), J_ref) <= TOL
@@ -246,7 +249,7 @@ def test_ridge_rows_and_epoch_loss_match_the_loop(n):
     for net, rng in _nets(100 + n, 12):
         chunks = _chunks(_samples(rng, n), 32)
         split = _split(chunks)
-        H = [offline._hidden_states(net, X) for X, _ in split]
+        H = [net.hidden_states(X) for X, _ in split]
         at = {name: (off, size) for name, off, size in net.layout()}
         readout = np.r_[0:net.m, at["out_w"][0]:at["out_b"][0] + 1]
         ref = _ref_ridge_rows(net, chunks)
@@ -341,9 +344,9 @@ def test_epoch_zero_loss_from_the_shared_scan_is_a_fresh_scan_bit_for_bit(
         net0 = offline.initialize_network(data, m=m, p=p, seed=seed)
         net, report = offline.train_offline(net0, data, epochs=0, seed=seed)
         split = _split(_chunks(data.train().samples, chunk_len))
-        H = [offline._hidden_states(net, X) for X, _ in split]
+        H = [net.hidden_states(X) for X, _ in split]
         assert report.loss_curve == [offline._epoch_loss(net, split, H)]
-        H0 = [offline._hidden_states(net0, X) for X, _ in split]
+        H0 = [net0.hidden_states(X) for X, _ in split]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(H, H0))
 
 
