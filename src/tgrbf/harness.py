@@ -34,6 +34,7 @@ TRACE_COLUMNS = ["t", "r", "y", "e", "u", "y_pred", "k1", "k2", "dym_du",
 
 CONTROLLER_TYPES = ("tgrbf_nc", "nc_fixed", "pid")
 _MODEL_ROWS = 256   # steps per block of the baselines' model pass: a fixed peak
+_U, _Y = TRACE_COLUMNS.index("u"), TRACE_COLUMNS.index("y")
 
 
 class RunAborted(RuntimeError):
@@ -172,9 +173,8 @@ def run_scenario(cfg: ScenarioConfig,
              and cfg.nc_gains is not None else cfg.gains)
     k1, k2 = gains.k1, gains.k2   # the adaptive law's run state
     e_prev, integral = 0.0, 0.0   # the PID's run state
-    history = Dataset(np.zeros(HISTORY_LEN), np.zeros(HISTORY_LEN + 1))
     n = cfg.n_steps
-    # the trace, after HISTORY_LEN zero rows: the history before step 0
+    # the trace, after HISTORY_LEN zero rows: the plant at rest before step 0
     padded = np.zeros((HISTORY_LEN + n, len(TRACE_COLUMNS)))
     data = padded[HISTORY_LEN:]
 
@@ -185,17 +185,17 @@ def run_scenario(cfg: ScenarioConfig,
         if abs(y) > 1e6:
             raise RunAborted(f"output diverged at step {k}: y = {y}")
         e = r - y
-        history.y[:-1], history.y[-1] = history.y[1:], y
 
         y_pred, g_val, dym_du = 0.0, 0.0, 0.0
         if adaptive:
             # an earlier update's waiting stage runs before the network
             # predicts again: the last trigger's step, or the replay after it
             opt.settle()
-            X, targets = history.regressor(deploy=True)
-            y_pred, trace = net.advance(X[-1])
+            data[k, _Y] = y
+            X, targets = _deploy_rows(padded, k, 1)
+            y_pred, trace = net.advance(X[0])
             g_val, dym_du = trace.g, float(net.jacobian_input(trace)[0])
-            opt.buf.push(X[-1], trace.h_prev, targets[-1], abs(y - y_pred))
+            opt.buf.push(X[0], trace.h_prev, targets[0], abs(y - y_pred))
             opt.maybe_update(k, y - y_pred)
 
         if cfg.controller == "pid":
@@ -211,7 +211,6 @@ def run_scenario(cfg: ScenarioConfig,
         d = pl.disturbance_at(cfg.disturbance, k, cfg.plant.Ts, noise)
         state = pl.plant_step(state, u, d, cfg.plant)
         data[k] = (t, r, y, e, u, y_pred, k1, k2, dym_du, g_val, 0.0, 0.0)
-        history.u[:-1], history.u[-1] = history.u[1:], u
 
     col = TRACE_COLUMNS.index
     if adaptive:
@@ -221,10 +220,8 @@ def run_scenario(cfg: ScenarioConfig,
             data[ev.k, col("triggered")], data[ev.k, col("eta")] = 1.0, ev.eta
     elif net is not None:   # the baselines never read the model's columns
         for k in range(0, n, _MODEL_ROWS):   # so they are filled block by block
-            rows = padded[k:k + _MODEL_ROWS + HISTORY_LEN]   # with their history
             block = data[k:k + _MODEL_ROWS]
-            X = Dataset(rows[:-1, col("u")], rows[:, col("y")]).regressor(deploy=True)[0]
-            y_pred, trace = net.advance(X[-len(block):])
+            y_pred, trace = net.advance(_deploy_rows(padded, k, len(block))[0])
             block[:, col("y_pred")], block[:, col("g")] = y_pred, trace.g
             block[:, col("dym_du")] = net.jacobian_input(trace)[:, 0]
     trace = RunTrace(
@@ -238,6 +235,13 @@ def run_scenario(cfg: ScenarioConfig,
     if net is None:
         metrics.fit_mse_online = math.nan   # no model predicted y
     return trace, metrics
+
+
+def _deploy_rows(padded: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps k ... k+n-1's deploy rows and targets, once y_{k+n-1} is in padded."""
+    rows = padded[k:k + n + HISTORY_LEN]
+    X, targets = Dataset(rows[:-1, _U], rows[:, _Y]).regressor(deploy=True)
+    return X[-n:], targets[-n:]
 
 
 def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
@@ -263,7 +267,8 @@ def compute_metrics(trace: RunTrace, ref: pl.ReferenceSpec,
         r_final = ref.amplitude
         if r_final == 0.0:
             return rep   # overshoot undefined, left as nan
-        rep.overshoot_pct = max(0.0, 100.0 * float(np.max(y - r_final)) / abs(r_final))
+        past = math.copysign(1.0, r_final) * (y - r_final)   # in the step's direction
+        rep.overshoot_pct = max(0.0, 100.0 * float(np.max(past)) / abs(r_final))
         outside = np.nonzero((t >= ref.step_time_s)
                              & (np.abs(e) > 0.02 * abs(r_final)))[0]
         if outside.size == 0:

@@ -31,7 +31,7 @@ WIDTH_FLOOR = 1e-2
 # readout ridge scale, and the gradient stage's chunk length, momentum, step cap
 DWELL, EXCITATION_RANGE, NOISE_STD, HOLDOUT_FRAC = 50, (-2.0, 2.0), 0.01, 0.2
 RIDGE, CHUNK_LEN, MOMENTUM, ETA_MAX = 1e-6, 32, 0.2, 10.0
-HISTORY_LEN = 1   # the closed loop keeps this many inputs and one more output
+HISTORY_LEN = 1   # zero trace rows before a closed loop's step 0: the plant at rest
 _CSV_HEADER = ["k", "u", "y_prev", "y_teacher", "target"]
 _EXPORT_ROWS = 64   # CSV rows per string operation; more saves no time, costs memory
 

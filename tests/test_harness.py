@@ -139,6 +139,27 @@ def test_metrics_overshoot_and_settling():
     assert rep.settling_time_s == pytest.approx(t[21])
 
 
+def test_a_step_down_reads_the_metrics_of_its_mirror_image():
+    """Overshoot is the excursion past the reference in the step's own
+    direction, so a step to -1 reads what its mirror image to +1 reads:
+    for a response that passes the reference, one that stops short of it
+    and one that never reaches the 2% band."""
+    Ts = 0.001
+    t = np.arange(100) * Ts
+    rise = np.ones(100)
+    rise[:10] = np.linspace(0.0, 1.0, 10)
+    for y, overshoot in ((np.where(t == t[20], 1.25, rise), 25.0),
+                         (np.where(t == t[20], 0.9, rise), 0.0),
+                         (0.5 * rise, 0.0)):
+        up, down = (harness.compute_metrics(
+            _make_trace(t, np.full(100, sign), sign * y),
+            pl.ReferenceSpec(kind="step", amplitude=sign), Ts) for sign in (1.0, -1.0))
+        assert up.overshoot_pct == pytest.approx(overshoot)
+        np.testing.assert_array_equal(
+            [down.overshoot_pct, down.settling_time_s, down.settled],
+            [up.overshoot_pct, up.settling_time_s, up.settled])
+
+
 def test_settling_time_counts_from_the_step():
     """A step at 1.0 s whose output enters the 2% band at 1.5 s and stays
     there settles in 0.5 s.  Leaving the band only before the step, where

@@ -867,17 +867,28 @@ def test_baseline_run_without_steps_or_network_makes_no_model_pass(
         monkeypatch, controller):
     """duration_s 0 runs no step and checkpoint None loads no network: no
     model call either way, and fit_mse_online is nan.  Without a network the
-    model columns read 0 and every other column is the reference's."""
+    model columns read 0 and every other column is the reference's.  The
+    loop keeps no history: the run builds no Dataset without a network, and
+    one per block of the model pass with the shipped one."""
     cfg = dataclasses.replace(harness.load_config(ROOT / "configs" / "sine.json"),
                               controller=controller)
     net = TgrbfNet.load(ROOT / "artifacts" / "network.json")
-    calls = _count_model_calls(monkeypatch)
+    calls, built = _count_model_calls(monkeypatch), []
+
+    class Counted(offline.Dataset):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "Dataset", Counted)
     trace, metrics = harness.run_scenario(dataclasses.replace(cfg, duration_s=0.0), net)
     assert trace.data.shape == (0, len(harness.TRACE_COLUMNS))
-    assert math.isnan(metrics.fit_mse_online) and calls == []
+    assert math.isnan(metrics.fit_mse_online) and calls == [] and built == []
     cfg = dataclasses.replace(cfg, duration_s=0.5, checkpoint=None)
     trace, metrics = harness.run_scenario(cfg)
-    assert math.isnan(metrics.fit_mse_online) and calls == []
+    assert math.isnan(metrics.fit_mse_online) and calls == [] and built == []
+    harness.run_scenario(cfg, net)
+    assert len(built) == math.ceil(cfg.n_steps / harness._MODEL_ROWS) == 2
     model = [harness.TRACE_COLUMNS.index(c) for c in ("y_pred", "dym_du", "g")]
     rest = [i for i in range(len(harness.TRACE_COLUMNS)) if i not in model]
     assert trace.data.shape == (500, len(harness.TRACE_COLUMNS))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgrbf import harness, online
+from tgrbf import harness, offline, online
 from tgrbf.network import _SEGMENTS, random_net
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -792,7 +792,9 @@ def _without_updates(cfg):
 def test_replay_gives_back_the_residuals_deployment_saw(monkeypatch, config):
     """With no update the network does not change, so replaying every
     buffered row from its stored hidden state gives each step's y - y_pred
-    of the trace, to 1e-12 of the recomputed prediction."""
+    of the trace, to 1e-12 of the recomputed prediction.  The buffered rows
+    and targets are the deployment rows of the trace's own series, from
+    rest, bit for bit."""
     cfg = _without_updates(_shipped(config))
     cfg.duration_s = 0.5
     optimizers = []
@@ -808,6 +810,9 @@ def test_replay_gives_back_the_residuals_deployment_saw(monkeypatch, config):
     buf, n = opt.buf, len(opt.buf)
     assert rep.update_count == 0 and n == cfg.n_steps
     assert buf.targets[:n].tobytes() == trace.col("y").tobytes()
+    u, y = trace.col("u"), trace.col("y")
+    series = offline.Dataset(np.concatenate([[0.0], u[:-1]]), np.concatenate([[0.0], y]))
+    assert buf.X[:n].tobytes() == series.regressor(deploy=True)[0].tobytes()
     F, _ = online.residuals_and_jacobian(opt.net, buf.X[:n], buf.H[:n],
                                          buf.targets[:n])
     y_pred = trace.col("y_pred")
